@@ -4,63 +4,19 @@ Pipeline: open an APK, extract candidate components (packages, API
 signatures, endpoint URLs, model assets), prefilter with a non-AI whitelist,
 classify through a pluggable LLM backend with knowledge-base reuse, and roll
 results up into per-app AI service reports and corpus statistics.
+
+The names below are the ones the README's library example uses; everything
+else is imported from its module.
 """
 
-from .apk import ApkArchive, ApkEntry, CorruptCentralDirectory, EntryKind, NotAZip, classify_entry, open_apk
-from .candidates import (
-    ApiSignature,
-    Candidate,
-    CandidateKind,
-    CandidateSet,
-    ObfuscationStats,
-    extract_asset_candidates,
-    extract_candidates,
-    extract_dex_candidates,
-    extract_native_candidates,
-    measure_obfuscation,
-)
-from .dex import BadDexMagic, TruncatedDex, parse_dex
-from .gateway import (
-    BackendUnavailable,
-    BatchRequest,
-    ContextOverflow,
-    ItemResult,
-    LlmGateway,
-    MalformedJson,
-    MisalignedOutput,
-    PromptTemplate,
-    RateLimited,
-    SamplingConfig,
-    TaskId,
-    chunk,
-    render_prompt,
-)
-from .backends import LiveBackend, MockBackend
-from .kb import KbKey, KbRecord, KnowledgeBase, kb_sync
-from .metrics import EvalMetrics, cohen_kappa, confusion
-from .native import BadElfMagic, scan_elf_strings
-from .pipeline import (
-    ComponentVerdict,
-    PipelineConfig,
-    PipelineOrder,
-    PipelineResult,
-    analyze_component,
-    detect_component,
-    is_ai_app,
-    run_pipeline,
-)
-from .curation import AppDescription, KeywordList, curate, keyword_screen, semantic_screen
-from .taxonomy import (
-    AiServiceReport,
-    CorpusStats,
-    DomainLabel,
-    TaxonomyLabel,
-    aggregate_stats,
-    classify_app,
-    classify_component,
-    classify_components,
-    summarize_app,
-)
-from .whitelist import EmptyWhitelist, Whitelist, apply_whitelist, load_whitelist
+from .apk import open_apk
+from .backends import MockBackend
+from .candidates import extract_candidates
+from .gateway import LlmGateway
+from .kb import kb_sync
+from .pipeline import PipelineConfig, is_ai_app, run_pipeline, write_back
+from .report import analyze_app
+from .taxonomy import classify_components
+from .whitelist import apply_whitelist, load_whitelist
 
 __version__ = "0.1.0"

@@ -10,13 +10,13 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Union
 from urllib.parse import urlsplit
 
 from .apk import ApkArchive, EntryKind
 from .dex import DexSymbols, MethodRef, parse_dex
+from .listfile import parse_list, read_list
 from .native import scan_elf_strings
 
 log = logging.getLogger(__name__)
@@ -29,20 +29,6 @@ URL_RE = re.compile(
 )
 
 _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
-
-DEFAULT_MODEL_SUFFIXES = (
-    ".tflite",
-    ".lite",
-    ".caffemodel",
-    ".model",
-    ".pb",
-    ".onnx",
-    ".mnn",
-    ".param",
-    ".ms",
-    ".pt",
-    ".nb",
-)
 
 # Obfuscators rename to one- and two-letter identifiers.
 OBFUSCATED_SEGMENT_LEN = 2
@@ -214,16 +200,8 @@ def load_model_suffixes(path: Union[str, Path, None] = None) -> tuple[str, ...]:
 
     Without a path, the packaged default list is used.
     """
-    if path is None:
-        text = resources.files("aidiscover.data").joinpath("model_suffixes.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    suffixes = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip().lower()
-        if line:
-            suffixes.append(line if line.startswith(".") else "." + line)
-    return tuple(dict.fromkeys(suffixes))
+    entries, _ = parse_list(read_list("model_suffixes.txt", path))
+    return tuple(dict.fromkeys(e if e.startswith(".") else "." + e for e in entries))
 
 
 def extract_asset_candidates(
@@ -236,7 +214,7 @@ def extract_asset_candidates(
     recognized model suffix (paired weight/graph layouts). Non-model assets
     surface only in the odd case that their name embeds a URL, as Other.
     """
-    suffixes = model_suffixes if model_suffixes is not None else DEFAULT_MODEL_SUFFIXES
+    suffixes = model_suffixes if model_suffixes is not None else load_model_suffixes()
     assets = [n for n in entry_names if n.startswith("assets/")]
 
     model_dirs = {

@@ -126,10 +126,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     whitelist = _load_whitelist_or_warn(cfg.whitelist_path)
     suffixes = load_model_suffixes(args.model_suffixes) if args.model_suffixes else None
 
-    kb = kb_sync(cfg.kb_path)
-    cache = SummaryCache(Path(str(cfg.kb_path) + ".summaries") if cfg.kb_path else None)
     clock = (lambda: FIXED_CLOCK_EPOCH) if args.deterministic else utc_now
-    kb.clock = clock
+    kb = kb_sync(cfg.kb_path, clock)
+    cache = SummaryCache(Path(str(cfg.kb_path) + ".summaries") if cfg.kb_path else None)
 
     jobs = 1 if args.deterministic else (args.jobs or os.cpu_count() or 1)
     out_dir = Path(args.out)

@@ -8,11 +8,11 @@ import logging
 import re
 from dataclasses import dataclass, field
 from datetime import date
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from .gateway import GatewayError, LlmGateway, TaskId
+from .listfile import parse_list, read_list
 
 log = logging.getLogger(__name__)
 
@@ -51,16 +51,8 @@ def load_keywords(path: Union[str, Path, None] = None) -> KeywordList:
 
     Without a path, the packaged default list is used.
     """
-    if path is None:
-        text = resources.files("aidiscover.data").joinpath("keywords.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    terms = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip().lower()
-        if line:
-            terms.append(line)
-    return KeywordList(terms=tuple(dict.fromkeys(terms)))
+    terms, _ = parse_list(read_list("keywords.txt", path))
+    return KeywordList(terms=terms)
 
 
 def load_descriptions(path: Union[str, Path]) -> list[AppDescription]:
@@ -98,24 +90,6 @@ def keyword_screen(desc: AppDescription, kw: KeywordList) -> bool:
     if not lowered:
         return False
     return any(_phrase_pattern(term).search(lowered) for term in kw.terms)
-
-
-def semantic_screen(desc: AppDescription, gateway: LlmGateway) -> bool:
-    """Gateway judgment on whether the description implies real AI functionality.
-
-    Backend failure excludes the description (conservative) with a warning.
-    """
-    if not desc.text.strip():
-        return False
-    try:
-        result = gateway.run_items(TaskId.DESCRIPTION_SCREEN, [desc.text], batch_size=1)[0]
-    except GatewayError as exc:
-        log.warning("semantic screen failed for %s: %s", desc.package_name, exc)
-        return False
-    if result.error or not result.payload:
-        log.warning("semantic screen item failure for %s: %s", desc.package_name, result.error)
-        return False
-    return bool(result.payload["likely_ai"])
 
 
 def curate(

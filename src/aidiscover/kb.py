@@ -94,102 +94,105 @@ class KbRecord:
         return record
 
 
-class KnowledgeBase:
-    """Replayed view of the record log plus a serialized append channel.
+class JsonlLog:
+    """Keyed, append-only JSONL file shared by the KB and the summary cache.
 
-    Reads are lock-free over an immutable-per-key dict; writes funnel through
-    one lock so concurrent workers can share a single instance.
+    Replay is last-write-wins per key; lines that fail to decode are skipped
+    with a warning and counted, never fatal. Each append is one ``write()``
+    under a lock, so concurrent workers can share a single instance. On
+    storage failure the entry stays visible in memory and the log flips to
+    degraded mode rather than failing the caller.
     """
 
-    def __init__(self, path: Optional[Path] = None, clock: Callable[[], datetime] = utc_now):
+    def __init__(self, path: Union[str, Path, None]):
         self.path = Path(path) if path is not None else None
-        self.clock = clock
-        self.records: dict[KbKey, KbRecord] = {}
+        self.records: dict = {}
         self.corrupt_lines = 0
         self.degraded = False
-        self._write_lock = threading.Lock()
+        self._lock = threading.Lock()
+
+    def replay(self, decode: Callable[[str], tuple]) -> None:
+        """Load ``(key, value) = decode(line)`` for every line; a missing file is empty."""
+        if self.path is None or not self.path.exists():
+            return
+        with open(self.path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    key, value = decode(line)
+                except (KeyError, TypeError, ValueError) as exc:
+                    self.corrupt_lines += 1
+                    log.warning("%s:%d: skipping corrupt line (%s)", self.path, lineno, exc)
+                    continue
+                self.records[key] = value
+
+    def _put(self, key, value, line: str) -> None:
+        with self._lock:
+            self.records[key] = value
+            if self.path is None:
+                return
+            try:
+                with open(self.path, "a", encoding="utf-8") as fh:
+                    fh.write(line + "\n")
+            except OSError as exc:
+                self.degraded = True
+                log.warning("%s: append failed, continuing in memory: %s", self.path, exc)
+
+
+class KnowledgeBase(JsonlLog):
+    """Replayed view of the record log plus a serialized append channel."""
+
+    def __init__(self, path: Union[str, Path, None] = None, clock: Callable[[], datetime] = utc_now):
+        super().__init__(path)
+        self.clock = clock
 
     def lookup(self, key: KbKey) -> Optional[KbRecord]:
         """Latest record for a key, or None. Never touches any backend."""
         return self.records.get(key)
 
     def insert(self, record: KbRecord) -> KbRecord:
-        """Validate, stamp, append durably, and make visible to lookup.
-
-        On storage failure the record stays visible in memory and the store
-        flips to degraded mode rather than failing the caller.
-        """
+        """Validate, stamp, append durably, and make visible to lookup."""
         record.validate()
         if record.created_at is None:
             record = replace(record, created_at=self.clock())
-        with self._write_lock:
-            self.records[record.key] = record
-            if self.path is not None:
-                try:
-                    with open(self.path, "a", encoding="utf-8") as fh:
-                        fh.write(record.to_line() + "\n")
-                except OSError as exc:
-                    self.degraded = True
-                    log.warning("KB append failed, continuing uncached: %s", exc)
+        self._put(record.key, record, record.to_line())
         return record
 
 
-def kb_sync(path: Union[str, Path, None]) -> KnowledgeBase:
+def _kb_entry(line: str) -> tuple[KbKey, KbRecord]:
+    record = KbRecord.from_line(line)
+    return record.key, record
+
+
+def kb_sync(path: Union[str, Path, None], clock: Callable[[], datetime] = utc_now) -> KnowledgeBase:
     """Load a knowledge base by replaying its log; create the file lazily.
 
-    Malformed lines are skipped with a warning and counted, never fatal.
     A None path yields a purely in-memory store.
     """
-    kb = KnowledgeBase(path=Path(path) if path is not None else None)
-    if kb.path is None or not kb.path.exists():
-        return kb
-    with open(kb.path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = KbRecord.from_line(line)
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                kb.corrupt_lines += 1
-                log.warning("%s:%d: skipping corrupt KB record (%s)", kb.path, lineno, exc)
-                continue
-            kb.records[record.key] = record  # replay order = last write wins
+    kb = KnowledgeBase(path, clock)
+    kb.replay(_kb_entry)
     return kb
 
 
-class SummaryCache:
-    """Sidecar JSONL cache for app-level summary generations.
+def _summary_entry(line: str) -> tuple[str, dict]:
+    payload = json.loads(line)
+    return payload["digest"], payload["value"]
+
+
+class SummaryCache(JsonlLog):
+    """Sidecar JSONL cache for app-level summary generations, replayed on construction.
 
     Keyed by an input digest so a changed component set always regenerates.
-    Same append/replay discipline as the main log, separate file.
     """
 
-    def __init__(self, path: Optional[Path]):
-        self.path = Path(path) if path is not None else None
-        self.entries: dict[str, dict] = {}
-        self._lock = threading.Lock()
-        if self.path is not None and self.path.exists():
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        payload = json.loads(line)
-                        self.entries[payload["digest"]] = payload["value"]
-                    except (json.JSONDecodeError, KeyError):
-                        log.warning("%s: skipping corrupt summary-cache line", self.path)
+    def __init__(self, path: Union[str, Path, None]):
+        super().__init__(path)
+        self.replay(_summary_entry)
 
     def get(self, digest: str) -> Optional[dict]:
-        return self.entries.get(digest)
+        return self.records.get(digest)
 
     def put(self, digest: str, value: dict) -> None:
-        with self._lock:
-            self.entries[digest] = value
-            if self.path is not None:
-                try:
-                    with open(self.path, "a", encoding="utf-8") as fh:
-                        fh.write(json.dumps({"digest": digest, "value": value}, sort_keys=True) + "\n")
-                except OSError as exc:
-                    log.warning("summary cache append failed: %s", exc)
+        self._put(digest, value, json.dumps({"digest": digest, "value": value}, sort_keys=True))

@@ -86,20 +86,7 @@ def _detect_item(candidate: Candidate, analysis: Optional[str]) -> str:
     return candidate.text
 
 
-def analyze_component(candidate: Candidate, gateway: LlmGateway) -> str:
-    """Functional description of one candidate; failure yields the marker text."""
-    result = gateway.run_items(TaskId.ANALYZE, [candidate.text], batch_size=1)[0]
-    if result.error or not result.payload:
-        return FAILURE_ANALYSIS
-    return result.payload["analysis"]
-
-
-def detect_component(
-    candidate: Candidate, analysis: Optional[str], gateway: LlmGateway
-) -> tuple[bool, str]:
-    """AI/non-AI decision for one candidate; failures default to non-AI."""
-    item = _detect_item(candidate, analysis)
-    result = gateway.run_items(TaskId.DETECT, [item], batch_size=1)[0]
+def _detection_of(result: ItemResult) -> tuple[bool, str]:
     if result.error or not result.payload:
         return False, FAILURE_RATIONALE
     return result.payload["is_ai"], result.payload["rationale"]
@@ -119,10 +106,11 @@ def run_pipeline(
 ) -> PipelineResult:
     """Produce exactly one verdict per candidate, in candidate order.
 
-    KB hits short-circuit without any backend traffic; fresh verdicts are
-    written back to the KB immediately. If the backend goes away mid-run the
-    unresolved candidates are failed conservatively and the run is flagged
-    degraded, while KB-resolved verdicts are still returned.
+    KB hits short-circuit without any backend traffic. Nothing is written
+    here: ``write_back`` persists the verdicts once they carry their labels.
+    If the backend goes away mid-run the unresolved candidates are failed
+    conservatively and the run is flagged degraded, while KB-resolved
+    verdicts are still returned.
     """
     verdicts: dict[int, ComponentVerdict] = {}
     fresh: list[tuple[int, Candidate]] = []
@@ -163,10 +151,6 @@ def run_pipeline(
                     provenance=PROVENANCE_FRESH,
                 )
 
-    for position, verdict in verdicts.items():
-        if verdict.provenance == PROVENANCE_FRESH and not degraded and _reliable(verdict):
-            _write_back(verdict, kb, gateway.model_id)
-
     ordered = [verdicts[i] for i in range(len(cand_set.candidates))]
     return PipelineResult(verdicts=ordered, degraded=degraded, warnings=warnings)
 
@@ -185,10 +169,7 @@ def _run_analysis_first(
     detect_items = [_detect_item(c, a) for c, a in zip(candidates, analyses)]
     detections = gateway.run_items(TaskId.DETECT, detect_items, cfg.batch_size)
     for (position, candidate), analysis, detection in zip(fresh, analyses, detections):
-        if detection.error or not detection.payload:
-            is_ai, rationale = False, FAILURE_RATIONALE
-        else:
-            is_ai, rationale = detection.payload["is_ai"], detection.payload["rationale"]
+        is_ai, rationale = _detection_of(detection)
         verdicts[position] = ComponentVerdict(
             candidate=candidate,
             is_ai=is_ai,
@@ -209,10 +190,7 @@ def _run_detection_first(
 
     positives: list[int] = []  # indexes into `fresh`
     for i, ((position, candidate), detection) in enumerate(zip(fresh, detections)):
-        if detection.error or not detection.payload:
-            is_ai, rationale = False, FAILURE_RATIONALE
-        else:
-            is_ai, rationale = detection.payload["is_ai"], detection.payload["rationale"]
+        is_ai, rationale = _detection_of(detection)
         verdicts[position] = ComponentVerdict(
             candidate=candidate,
             is_ai=is_ai,
@@ -236,30 +214,47 @@ def _reliable(verdict: ComponentVerdict) -> bool:
     # them would make the failure permanent across runs.
     if verdict.rationale == FAILURE_RATIONALE:
         return False
-    if verdict.is_ai and verdict.analysis == FAILURE_ANALYSIS:
+    if verdict.is_ai and verdict.analysis in (None, FAILURE_ANALYSIS):
         return False
     return True
 
 
-def _write_back(verdict: ComponentVerdict, kb: KnowledgeBase, model_id: str) -> None:
-    if verdict.is_ai:
-        record = KbRecord(
-            key=verdict.kb_key(),
-            verdict=VERDICT_AI,
-            analysis=verdict.analysis or FAILURE_ANALYSIS,
-            domain=verdict.domain,
-            task=verdict.task,
-            model_id=model_id,
-        )
-    else:
-        analysis = verdict.analysis if verdict.analysis != FAILURE_ANALYSIS else None
-        record = KbRecord(
-            key=verdict.kb_key(),
-            verdict=VERDICT_NON_AI,
-            analysis=analysis,
-            model_id=model_id,
-        )
-    kb.insert(record)
+def write_back(run: PipelineResult, kb: KnowledgeBase, model_id: str) -> None:
+    """Persist what this run learned: the only place that writes the KB.
+
+    Call once per app, after taxonomy labeling, so each record carries its
+    labels. A fresh verdict is written only when it is reliable and the run
+    was not degraded; a KB hit is rewritten only when this run filled in the
+    labels its record lacked. A verdict whose labeling failed has no labels,
+    so its record carries none and the next run asks again.
+    """
+    for verdict in run.verdicts:
+        if verdict.provenance == PROVENANCE_FRESH:
+            if run.degraded or not _reliable(verdict):
+                continue
+        elif not (verdict.domain and verdict.task) or _labeled_in_kb(verdict, kb):
+            continue
+        if verdict.is_ai:
+            record = KbRecord(
+                key=verdict.kb_key(),
+                verdict=VERDICT_AI,
+                analysis=verdict.analysis,
+                domain=verdict.domain,
+                task=verdict.task,
+                model_id=model_id,
+            )
+        else:
+            analysis = verdict.analysis if verdict.analysis != FAILURE_ANALYSIS else None
+            record = KbRecord(
+                key=verdict.kb_key(), verdict=VERDICT_NON_AI, analysis=analysis, model_id=model_id
+            )
+        kb.insert(record)
+
+
+def _labeled_in_kb(verdict: ComponentVerdict, kb: KnowledgeBase) -> bool:
+    # A check of the store, not a verdict lookup: lookup() stays the pipeline's read path.
+    stored = kb.records.get(verdict.kb_key())
+    return stored is not None and bool(stored.domain and stored.task)
 
 
 def is_ai_app(verdicts: list[ComponentVerdict]) -> bool:

@@ -20,8 +20,10 @@ from .pipeline import (
     PipelineResult,
     is_ai_app,
     run_pipeline,
+    write_back,
 )
 from .taxonomy import (
+    UNCLASSIFIED,
     AiServiceReport,
     AppAggregate,
     TaxonomyLabel,
@@ -99,7 +101,8 @@ def analyze_app(
     run = run_pipeline(filtered, cfg, kb, gateway)
     ai_verdicts = [v for v in run.verdicts if v.is_ai]
 
-    labels = classify_components(ai_verdicts, gateway, cfg.batch_size, kb=kb)
+    labels = classify_components(ai_verdicts, gateway, cfg.batch_size)
+    write_back(run, kb, gateway.model_id)
     service = summarize_with_cache(app_id, ai_verdicts, gateway, summary_cache, cfg.audience)
     if labels:
         service.app_label = classify_app(labels)
@@ -113,21 +116,6 @@ def build_report(
     service: AiServiceReport,
     clock: Callable[[], datetime] = utc_now,
 ) -> dict:
-    verdict_rows = [
-        {
-            "kind": v.candidate.kind,
-            "text": v.candidate.text,
-            "occurrences": v.candidate.occurrences,
-            "source": v.candidate.source,
-            "is_ai": v.is_ai,
-            "analysis": v.analysis,
-            "rationale": v.rationale,
-            "provenance": v.provenance,
-            "domain": v.domain,
-            "task": v.task,
-        }
-        for v in run.verdicts
-    ]
     app_label = None
     if service.app_label is not None:
         app_label = {"domain": service.app_label.domain.value, "task": service.app_label.task}
@@ -135,7 +123,7 @@ def build_report(
         "schema_version": REPORT_SCHEMA_VERSION,
         "app_id": service.app_id,
         "is_ai_app": is_ai_app(run.verdicts),
-        "verdicts": verdict_rows,
+        "verdicts": [_verdict_row(v) for v in run.verdicts],
         "summary": service.summary,
         "capabilities": service.capabilities,
         "kind_counts": service.kind_counts,
@@ -148,6 +136,24 @@ def build_report(
         "warnings": list(cand_set.warnings) + list(run.warnings),
         "degraded": run.degraded or service.degraded,
         "generated_at": clock().isoformat(),
+    }
+
+
+def _verdict_row(v: ComponentVerdict) -> dict:
+    # An AI component whose labeling failed is reported under the fallback
+    # label, which the verdict itself does not carry (see classify_components).
+    unlabeled = v.is_ai and not (v.domain and v.task)
+    return {
+        "kind": v.candidate.kind,
+        "text": v.candidate.text,
+        "occurrences": v.candidate.occurrences,
+        "source": v.candidate.source,
+        "is_ai": v.is_ai,
+        "analysis": v.analysis,
+        "rationale": v.rationale,
+        "provenance": v.provenance,
+        "domain": UNCLASSIFIED.domain.value if unlabeled else v.domain,
+        "task": UNCLASSIFIED.task if unlabeled else v.task,
     }
 
 

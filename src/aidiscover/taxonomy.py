@@ -14,7 +14,6 @@ from typing import Iterable, Optional, Sequence
 
 from .candidates import ApiSignature, CandidateKind, package_of
 from .gateway import ContextOverflow, GatewayError, LlmGateway, TaskId
-from .kb import VERDICT_AI, KbRecord, KnowledgeBase
 from .pipeline import ComponentVerdict
 
 log = logging.getLogger(__name__)
@@ -97,6 +96,9 @@ class TaxonomyLabel:
 
     domain: DomainLabel
     task: str
+
+
+UNCLASSIFIED = TaxonomyLabel(DomainLabel.OTHERS, UNCLASSIFIED_TASK)
 
 
 @dataclass
@@ -206,66 +208,38 @@ def classify_components(
     verdicts: Sequence[ComponentVerdict],
     gateway: LlmGateway,
     batch_size: int = 3,
-    kb: Optional[KnowledgeBase] = None,
 ) -> list[TaxonomyLabel]:
-    """Label AI components with (domain, task); labels are cached into the KB.
+    """Label AI components with (domain, task), one label per verdict.
 
-    Components whose KB record already carries both labels are not re-sent.
-    Item-level failures label as (Others, Unclassified).
+    Components that already carry both labels are not re-sent. A successful
+    label is set on its verdict. An item-level or gateway failure labels as
+    UNCLASSIFIED but leaves the verdict unlabeled, so the KB never stores the
+    fallback and a later run asks again.
     """
-    labels: list[Optional[TaxonomyLabel]] = [None] * len(verdicts)
+    labels: list[TaxonomyLabel] = [UNCLASSIFIED] * len(verdicts)
     pending: list[int] = []
     for i, verdict in enumerate(verdicts):
         if verdict.domain and verdict.task:
             labels[i] = TaxonomyLabel(parse_domain(verdict.domain), normalize_task(verdict.task))
         else:
             pending.append(i)
+    if not pending:
+        return labels
 
-    if pending:
-        items = [_component_line(verdicts[i]) for i in pending]
-        try:
-            results = gateway.run_items(TaskId.CLASSIFY_TAXONOMY, items, batch_size)
-        except GatewayError as exc:
-            log.warning("taxonomy classification failed: %s", exc)
-            results = None
-        for slot, i in enumerate(pending):
-            if results is None or results[slot].error or not results[slot].payload:
-                label = TaxonomyLabel(DomainLabel.OTHERS, UNCLASSIFIED_TASK)
-            else:
-                payload = results[slot].payload
-                label = TaxonomyLabel(parse_domain(payload["domain"]), normalize_task(payload["task"]))
-            labels[i] = label
-            verdicts[i].domain = label.domain.value
-            verdicts[i].task = label.task
-            if kb is not None:
-                _cache_label(verdicts[i], label, kb, gateway.model_id)
-
-    return [label for label in labels if label is not None]
-
-
-def classify_component(
-    verdict: ComponentVerdict,
-    gateway: LlmGateway,
-    kb: Optional[KnowledgeBase] = None,
-) -> TaxonomyLabel:
-    return classify_components([verdict], gateway, batch_size=1, kb=kb)[0]
-
-
-def _cache_label(
-    verdict: ComponentVerdict, label: TaxonomyLabel, kb: KnowledgeBase, model_id: str
-) -> None:
-    if not verdict.is_ai:
-        return
-    kb.insert(
-        KbRecord(
-            key=verdict.kb_key(),
-            verdict=VERDICT_AI,
-            analysis=verdict.analysis or "[no analysis]",
-            domain=label.domain.value,
-            task=label.task,
-            model_id=model_id,
-        )
-    )
+    items = [_component_line(verdicts[i]) for i in pending]
+    try:
+        results = gateway.run_items(TaskId.CLASSIFY_TAXONOMY, items, batch_size)
+    except GatewayError as exc:
+        log.warning("taxonomy classification failed: %s", exc)
+        return labels
+    for i, result in zip(pending, results):
+        if result.error or not result.payload:
+            continue
+        payload = result.payload
+        labels[i] = TaxonomyLabel(parse_domain(payload["domain"]), normalize_task(payload["task"]))
+        verdicts[i].domain = labels[i].domain.value
+        verdicts[i].task = labels[i].task
+    return labels
 
 
 def classify_app(labels: Sequence[TaxonomyLabel]) -> TaxonomyLabel:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Union
 
 from .candidates import ApiSignature, Candidate, CandidateKind, CandidateSet
+from .listfile import parse_list, read_list
 
 
 class EmptyWhitelist(Exception):
@@ -35,26 +34,12 @@ class Whitelist:
         return cls(prefixes=frozenset(), version="empty")
 
 
-_VERSION_COMMENT = re.compile(r"^#\s*version\s*:\s*(\S+)", re.IGNORECASE)
-
-
 def parse_whitelist(text: str) -> Whitelist:
-    version = "0"
-    prefixes: set[str] = set()
-    for line in text.splitlines():
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            m = _VERSION_COMMENT.match(stripped)
-            if m:
-                version = m.group(1)
-            continue
-        prefixes.add(stripped.lower().rstrip("."))
-    prefixes.discard("")
+    entries, version = parse_list(text)
+    prefixes = frozenset(e.rstrip(".") for e in entries) - {""}
     if not prefixes:
         raise EmptyWhitelist("no prefixes parsed; pipeline may proceed unfiltered")
-    return Whitelist(prefixes=frozenset(prefixes), version=version)
+    return Whitelist(prefixes=prefixes, version=version)
 
 
 def load_whitelist(path: Union[str, Path, None] = None) -> Whitelist:
@@ -66,11 +51,7 @@ def load_whitelist(path: Union[str, Path, None] = None) -> Whitelist:
         EmptyWhitelist: the file parsed to zero prefixes. Callers that want
             to continue unfiltered should catch this and use Whitelist.empty().
     """
-    if path is None:
-        text = resources.files("aidiscover.data").joinpath("whitelist.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    return parse_whitelist(text)
+    return parse_whitelist(read_list("whitelist.txt", path))
 
 
 def _drop(candidate: Candidate, wl: Whitelist) -> bool:

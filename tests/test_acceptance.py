@@ -13,7 +13,7 @@ import pytest
 from aidiscover import cli
 from aidiscover.apk import open_apk
 from aidiscover.candidates import Candidate, CandidateKind, CandidateSet, extract_candidates, measure_obfuscation
-from aidiscover.curation import AppDescription, KeywordList, curate, keyword_screen, semantic_screen
+from aidiscover.curation import AppDescription, KeywordList, curate, keyword_screen
 from aidiscover.gateway import TaskId
 from aidiscover.kb import VERDICT_AI, KbKey, KbRecord, KnowledgeBase, kb_sync
 from aidiscover.metrics import cohen_kappa
@@ -293,7 +293,7 @@ def test_criterion_10_curation_monotonicity(mock_gateway):
     assert result.stage1_passed == len(survivors)
     wise = AppDescription(package_name="com.wise.chat", text=WISE_DESCRIPTION)
     assert keyword_screen(wise, kw)
-    assert semantic_screen(wise, mock_gateway)
+    assert curate([wise], kw, mock_gateway).selected == [wise]
     assert "com.wise.chat" in ids(result.selected)
     _report(10, "curate output within keyword survivors within input; exemplar passes both stages")
 

@@ -75,6 +75,25 @@ class TestAnalyze:
             path_b = dir_b / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
 
+    def test_cold_run_writes_one_kb_line_per_key(self, tmp_path, fixture_corpus):
+        apks, _, _ = fixture_corpus
+        kb_path = tmp_path / "cold.kb.jsonl"
+        analyze(tmp_path, apks, out="cold")
+        kb_bytes = kb_path.read_bytes()
+        rows = [json.loads(line) for line in kb_bytes.decode().splitlines()]
+        assert len(rows) == len({(r["kind"], r["text"]) for r in rows})
+
+        def warm(out: str) -> Path:
+            out_dir = tmp_path / out
+            assert run_cli("analyze", "--kb", kb_path, "--out", out_dir, "--deterministic", *apks) == cli.EXIT_OK
+            return out_dir
+
+        second, third = warm("warm_a"), warm("warm_b")
+        assert json.loads((second / "manifest.json").read_text())["backend_calls"] == 0
+        assert kb_path.read_bytes() == kb_bytes
+        for path in iter_report_paths(second):
+            assert path.read_bytes() == (third / path.name).read_bytes()
+
     def test_order_flag_round_trips(self, tmp_path, fixture_corpus):
         apks, _, _ = fixture_corpus
         code, out_dir = analyze(tmp_path, [apks[0]], out="dta", extra=["--order", "dta"])

@@ -8,7 +8,6 @@ from aidiscover.curation import (
     keyword_screen,
     load_descriptions,
     load_keywords,
-    semantic_screen,
 )
 from aidiscover.gateway import BackendUnavailable
 
@@ -54,20 +53,29 @@ class TestKeywordScreen:
 
 
 class TestSemanticScreen:
+    """The semantic stage alone: every description below passes the keyword stage."""
+
+    AI = KeywordList(("ai",))
+
     def test_wise_chatbot_passes(self, mock_gateway):
-        assert semantic_screen(desc(WISE_DESCRIPTION), mock_gateway) is True
+        wise = desc(WISE_DESCRIPTION)
+        assert curate([wise], self.AI, mock_gateway).selected == [wise]
 
     def test_company_name_only_fails(self, mock_gateway):
         d = desc("Brought to you by AI Holdings LLC, the classic card game you love.")
-        assert semantic_screen(d, mock_gateway) is False
+        result = curate([d], self.AI, mock_gateway)
+        assert result.stage1_passed == 1
+        assert result.selected == []
 
     def test_empty_text_fails(self, mock_gateway):
-        assert semantic_screen(desc(""), mock_gateway) is False
+        assert curate([desc("")], self.AI, mock_gateway).selected == []
         assert mock_gateway.call_count == 0
 
     def test_backend_failure_excludes(self):
         gateway = make_gateway(ScriptedBackend([BackendUnavailable("down")] * 3))
-        assert semantic_screen(desc(WISE_DESCRIPTION), gateway) is False
+        result = curate([desc(WISE_DESCRIPTION)], self.AI, gateway)
+        assert result.stage1_passed == 1
+        assert result.selected == []
 
 
 class TestCurate:

@@ -87,12 +87,13 @@ def test_sync_skips_corrupt_lines(tmp_path):
         ai_record(text="a.one").to_line(),
         "{this is not json",
         ai_record(text="a.two").to_line(),
+        "[]",  # valid JSON, not a record
         ai_record(text="a.three").to_line(),
     ]
     path.write_text("\n".join(lines) + "\n")
     kb = kb_sync(path)
     assert len(kb.records) == 3
-    assert kb.corrupt_lines == 1
+    assert kb.corrupt_lines == 2
 
 
 def test_round_trip_10k_records(tmp_path):
@@ -192,3 +193,13 @@ def test_summary_cache_round_trip(tmp_path):
     reloaded = SummaryCache(path)
     assert reloaded.get("digest-1") == {"summary": "s", "capabilities": ["a"]}
     assert reloaded.get("missing") is None
+
+
+def test_summary_cache_skips_corrupt_lines(tmp_path):
+    path = tmp_path / "kb.jsonl.summaries"
+    SummaryCache(path).put("digest-1", {"summary": "s", "capabilities": []})
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"digest": "torn\n[]\n')
+    reloaded = SummaryCache(path)
+    assert reloaded.get("digest-1") == {"summary": "s", "capabilities": []}
+    assert reloaded.corrupt_lines == 2

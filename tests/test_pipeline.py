@@ -3,9 +3,10 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from aidiscover.backends import MockBackend
 from aidiscover.candidates import Candidate, CandidateKind, CandidateSet
-from aidiscover.gateway import TaskId
-from aidiscover.kb import VERDICT_AI, VERDICT_NON_AI, KbKey, KbRecord, KnowledgeBase
+from aidiscover.gateway import BackendUnavailable, TaskId
+from aidiscover.kb import VERDICT_AI, VERDICT_NON_AI, KbKey, KbRecord, KnowledgeBase, kb_sync
 from aidiscover.pipeline import (
     FAILURE_RATIONALE,
     PROVENANCE_FRESH,
@@ -13,11 +14,15 @@ from aidiscover.pipeline import (
     ComponentVerdict,
     PipelineConfig,
     PipelineOrder,
-    analyze_component,
-    detect_component,
+    PipelineResult,
     is_ai_app,
     run_pipeline,
+    write_back,
 )
+
+from aidiscover.report import analyze_app
+from aidiscover.taxonomy import classify_components
+from aidiscover.whitelist import load_whitelist
 
 from conftest import make_gateway
 from helpers import ScriptedBackend
@@ -34,39 +39,38 @@ def cand_set(texts, kind=CandidateKind.PACKAGE):
     return CandidateSet(app_id="t", candidates=[cand(t, kind) for t in texts])
 
 
+def verdict_of(text, gateway, kind=CandidateKind.PACKAGE):
+    """Analysis-then-detection verdict for one candidate, through the batch path."""
+    return run_pipeline(cand_set([text], kind), PipelineConfig(), KnowledgeBase(), gateway).verdicts[0]
+
+
 class TestSingleComponentOps:
     def test_analyze_mlkit(self, mock_gateway):
-        out = analyze_component(cand("com.google.mlkit.vision.objects"), mock_gateway)
+        out = verdict_of("com.google.mlkit.vision.objects", mock_gateway).analysis
         assert out == "Google's ML Kit API for object detection and tracking in images and videos"
 
     def test_analyze_wordpiece(self, mock_gateway):
-        out = analyze_component(cand("nlp.WordPieceModelPB"), mock_gateway)
+        out = verdict_of("nlp.WordPieceModelPB", mock_gateway).analysis
         assert (
             out
             == "A library for tokenizing text using the WordPiece algorithm, implemented in Protocol Buffers format"
         )
 
     def test_analyze_non_ai_canned(self, mock_gateway):
-        out = analyze_component(cand("com.foo.analytics.logger"), mock_gateway)
+        out = verdict_of("com.foo.analytics.logger", mock_gateway).analysis
         assert out == "General-purpose utility component for application infrastructure"
 
     def test_detect_with_analysis(self, mock_gateway):
-        is_ai, rationale = detect_component(
-            cand("com.google.mlkit.vision.objects"),
-            "Google's ML Kit API for object detection and tracking in images and videos",
-            mock_gateway,
-        )
-        assert is_ai is True and rationale
+        verdict = verdict_of("com.google.mlkit.vision.objects", mock_gateway)
+        assert verdict.is_ai is True and verdict.rationale
 
     def test_detect_plain_java(self, mock_gateway):
-        is_ai, rationale = detect_component(cand("java.util.concurrent.Locks"), None, mock_gateway)
-        assert is_ai is False and rationale
+        verdict = verdict_of("java.util.concurrent.Locks", mock_gateway)
+        assert verdict.is_ai is False and verdict.rationale
 
     def test_detect_openai_endpoint(self, mock_gateway):
-        is_ai, _ = detect_component(
-            cand("https://api.openai.com/v1/", CandidateKind.HTTPS_REQUEST), None, mock_gateway
-        )
-        assert is_ai is True
+        verdict = verdict_of("https://api.openai.com/v1/", mock_gateway, CandidateKind.HTTPS_REQUEST)
+        assert verdict.is_ai is True
 
 
 class TestRunPipeline:
@@ -100,6 +104,7 @@ class TestRunPipeline:
         kb = KnowledgeBase()
         texts = ["com.google.mlkit.vision", "com.plain.util", "com.acme.speech"]
         first = run_pipeline(cand_set(texts), PipelineConfig(), kb, mock_gateway)
+        write_back(first, kb, mock_gateway.model_id)
         calls_after_first = mock_gateway.call_count
         second = run_pipeline(cand_set(texts), PipelineConfig(), kb, mock_gateway)
         assert mock_gateway.call_count == calls_after_first
@@ -110,6 +115,8 @@ class TestRunPipeline:
         kb = KnowledgeBase()
         texts = ["com.google.mlkit.vision", "com.plain.util"]
         result = run_pipeline(cand_set(texts), PipelineConfig(), kb, mock_gateway)
+        assert kb.records == {}  # run_pipeline itself writes nothing
+        write_back(result, kb, mock_gateway.model_id)
         for verdict in result.verdicts:
             record = kb.lookup(verdict.kb_key())
             assert record is not None
@@ -175,6 +182,7 @@ class TestRunPipeline:
         assert verdict.is_ai is False
         assert verdict.rationale == FAILURE_RATIONALE
         # transient failures are not cached
+        write_back(result, kb, gateway.model_id)
         assert kb.lookup(verdict.kb_key()) is None
 
     def test_backend_outage_returns_partial_flagged(self, mock_gateway):
@@ -187,8 +195,6 @@ class TestRunPipeline:
                 model_id="mock",
             )
         )
-        from aidiscover.gateway import BackendUnavailable
-
         dead_gateway = make_gateway(ScriptedBackend([BackendUnavailable("down")] * 5))
         result = run_pipeline(
             cand_set(["com.cached.ai", "com.fresh.thing"]), PipelineConfig(), kb, dead_gateway
@@ -197,7 +203,78 @@ class TestRunPipeline:
         assert result.verdicts[0].is_ai is True  # KB hit survives the outage
         assert result.verdicts[1].is_ai is False
         assert result.verdicts[1].rationale == FAILURE_RATIONALE
+        write_back(result, kb, dead_gateway.model_id)
         assert kb.lookup(result.verdicts[1].kb_key()) is None
+
+
+class FailingTask(MockBackend):
+    """Mock answers, except that one task gets ``failure``: raw text, or an exception raised."""
+
+    def __init__(self, task_id, failure):
+        self.task_id = task_id
+        self.failure = failure
+
+    def complete(self, request):
+        if request.task_id != self.task_id:
+            return super().complete(request)
+        if isinstance(self.failure, Exception):
+            raise self.failure
+        return self.failure
+
+
+def ai_labels(report):
+    return {(v["domain"], v["task"]) for v in report["verdicts"] if v["is_ai"]}
+
+
+class TestWriteBack:
+    def test_kb_hit_rewritten_only_when_labels_filled_in(self, tmp_path, mock_gateway):
+        path = tmp_path / "kb.jsonl"
+        kb = kb_sync(path)
+        for text, domain, task in [
+            ("com.google.mlkit.vision", None, None),
+            ("com.acme.speech", "AudioSpeechProcessing", "Speech Recognition"),
+        ]:
+            key = KbKey.make(CandidateKind.PACKAGE, text)
+            kb.insert(KbRecord(key=key, verdict=VERDICT_AI, analysis="a", domain=domain, task=task))
+        texts = ["com.google.mlkit.vision", "com.acme.speech", "com.plain.util"]
+        result = run_pipeline(cand_set(texts), PipelineConfig(), kb, mock_gateway)
+        classify_components([v for v in result.verdicts if v.is_ai], mock_gateway)
+        write_back(result, kb, mock_gateway.model_id)
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        # one new line for the filled-in KB hit, one for the fresh verdict
+        assert [(r["text"], r["domain"], r["task"]) for r in lines[2:]] == [
+            ("com.google.mlkit.vision", "ComputerVision", "Object Detection"),
+            ("com.plain.util", None, None),
+        ]
+
+    def test_real_others_unclassified_answer_is_stored(self):
+        raw = json.dumps([{"index": 0, "domain": "Others", "task": "Unclassified"}])
+        verdict = ComponentVerdict(candidate=cand("com.x.y"), is_ai=True, analysis="a", rationale="r")
+        classify_components([verdict], make_gateway(ScriptedBackend([raw])))
+        kb = KnowledgeBase()
+        write_back(PipelineResult([verdict]), kb, "scripted")
+        record = kb.lookup(verdict.kb_key())
+        assert (record.domain, record.task) == ("Others", "Unclassified")
+
+    @pytest.mark.parametrize("failure", ["garbage", BackendUnavailable("down")], ids=["item", "gateway"])
+    def test_failed_labeling_is_asked_again_next_run(self, fixture_corpus, failure):
+        apks, _, _ = fixture_corpus
+        kb, whitelist = KnowledgeBase(), load_whitelist()
+        broken = make_gateway(FailingTask(TaskId.CLASSIFY_TAXONOMY, failure))
+        first = analyze_app(apks[0], PipelineConfig(), kb, broken, whitelist)
+        assert ai_labels(first) == {("Others", "Unclassified")}
+
+        second = analyze_app(apks[0], PipelineConfig(), kb, make_gateway(), whitelist)
+        assert ai_labels(second) == {("ComputerVision", "Object Detection")}
+
+    def test_degraded_run_writes_no_ai_record(self, fixture_corpus):
+        apks, _, _ = fixture_corpus
+        kb = KnowledgeBase()
+        gateway = make_gateway(FailingTask(TaskId.ANALYZE, BackendUnavailable("down")))
+        report = analyze_app(apks[0], PipelineConfig(order=DTA), kb, gateway, load_whitelist())
+        assert report["degraded"] is True
+        assert ai_labels(report)  # detection found AI components before the outage
+        assert kb.records == {}
 
 
 class TestIsAiApp:

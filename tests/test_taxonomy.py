@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from aidiscover.candidates import Candidate, CandidateKind
 from aidiscover.kb import VERDICT_AI, KbKey, KnowledgeBase
-from aidiscover.pipeline import ComponentVerdict
+from aidiscover.pipeline import ComponentVerdict, PipelineResult, write_back
 from aidiscover.taxonomy import (
     NO_AI_SUMMARY,
     SUMMARY_UNAVAILABLE,
@@ -15,7 +15,6 @@ from aidiscover.taxonomy import (
     TaxonomyLabel,
     aggregate_stats,
     classify_app,
-    classify_component,
     classify_components,
     normalize_task,
     parse_domain,
@@ -68,25 +67,27 @@ class TestParseDomain:
 
 class TestClassifyComponent:
     def test_mlkit_object_detection(self, mock_gateway):
-        label = classify_component(
-            ai_verdict(
-                "com.google.mlkit.vision.objects",
-                analysis="Google's ML Kit API for object detection and tracking in images and videos",
-            ),
+        [label] = classify_components(
+            [
+                ai_verdict(
+                    "com.google.mlkit.vision.objects",
+                    analysis="Google's ML Kit API for object detection and tracking in images and videos",
+                )
+            ],
             mock_gateway,
         )
         assert label == TaxonomyLabel(CV, "Object Detection")
 
     def test_tensor_component_is_data_processing(self, mock_gateway):
-        label = classify_component(
-            ai_verdict("org.tensorflow.lite.TensorBuffer", analysis="tensor operations"),
+        [label] = classify_components(
+            [ai_verdict("org.tensorflow.lite.TensorBuffer", analysis="tensor operations")],
             mock_gateway,
         )
         assert label == TaxonomyLabel(DA, "Data Processing")
 
     def test_wordpiece_is_nlp_tokenization(self, mock_gateway):
-        label = classify_component(
-            ai_verdict("nlp.WordPieceModelPB", analysis="WordPiece tokenizer"), mock_gateway
+        [label] = classify_components(
+            [ai_verdict("nlp.WordPieceModelPB", analysis="WordPiece tokenizer")], mock_gateway
         )
         assert label.domain is NLP
         assert "Tokenization" in label.task
@@ -94,18 +95,22 @@ class TestClassifyComponent:
     def test_unknown_domain_string_maps_to_others(self):
         raw = json.dumps([{"index": 0, "domain": "Alchemy", "task": "gold making"}])
         gateway = make_gateway(ScriptedBackend([raw]))
-        label = classify_component(ai_verdict("com.x.y"), gateway)
+        [label] = classify_components([ai_verdict("com.x.y")], gateway)
         assert label == TaxonomyLabel(OTHERS, "Gold Making")
 
     def test_gateway_failure_yields_unclassified(self):
         gateway = make_gateway(ScriptedBackend(["garbage"] * 10))
-        label = classify_component(ai_verdict("com.x.y"), gateway)
+        verdict = ai_verdict("com.x.y")
+        [label] = classify_components([verdict], gateway)
         assert label == TaxonomyLabel(OTHERS, "Unclassified")
+        # the fallback is not set on the verdict, so write_back cannot store it
+        assert verdict.domain is None and verdict.task is None
 
     def test_labels_cached_into_kb(self, mock_gateway):
         kb = KnowledgeBase()
         verdict = ai_verdict("com.google.mlkit.vision.objects", analysis="object detection kit")
-        classify_components([verdict], mock_gateway, kb=kb)
+        classify_components([verdict], mock_gateway)
+        write_back(PipelineResult([verdict]), kb, mock_gateway.model_id)
         record = kb.lookup(KbKey.make(CandidateKind.PACKAGE, "com.google.mlkit.vision.objects"))
         assert record is not None
         assert record.verdict == VERDICT_AI
