@@ -154,15 +154,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
         return entry
 
-    if jobs > 1 and len(args.apks) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(one, args.apks))
-    else:
-        entries = [one(p) for p in args.apks]
+    try:
+        if jobs > 1 and len(args.apks) > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                entries = list(pool.map(one, args.apks))
+        else:
+            entries = [one(p) for p in args.apks]
+    finally:
+        kb.close()
+        cache.close()
 
     manifest = {
         "apps": entries,
         "backend_calls": gateway.call_count,
+        "backend_calls_by_task": dict(gateway.call_counts),
         "failed": sum(1 for e in entries if e["status"] == "error"),
     }
     (out_dir / "manifest.json").write_text(

@@ -1,9 +1,10 @@
 """Uniform access to a completion backend.
 
 Handles prompt rendering with few-shot examples, fixed-size batching,
-structured-output parsing with index alignment, context budgeting, and the
-retry ladder: whole-batch retries, then singleton fallback, then per-item
-failure. A monotone request counter is kept for cache and ordering tests.
+concurrent dispatch of a call's batches, structured-output parsing with index
+alignment, context budgeting, and the retry ladder: whole-batch retries, then
+singleton fallback, then per-item failure. A monotone request counter is kept
+for cache and ordering tests.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import logging
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence, TypeVar
 
@@ -269,8 +271,11 @@ def parse_summary(raw: str) -> dict:
 class LlmGateway:
     """Batching, retrying front door to one completion backend.
 
-    At most ``max_in_flight`` requests run concurrently; the request counter
-    and per-task counters are safe to read from tests after a run.
+    At most ``max_in_flight`` requests run concurrently, counted across every
+    thread that shares the gateway. ``run_items`` sends the batches of one
+    call on up to ``max_in_flight`` worker threads, so an app's batches
+    overlap. The request counter and per-task counters are safe to read from
+    tests after a run.
     """
 
     def __init__(
@@ -287,6 +292,7 @@ class LlmGateway:
         self.templates = templates
         self.sampling = sampling or SamplingConfig()
         self.retry_budget = retry_budget
+        self.max_in_flight = max_in_flight
         self.rate_limit_retries = rate_limit_retries
         self.sleeper = sleeper
         self.call_count = 0
@@ -360,14 +366,43 @@ class LlmGateway:
         return results
 
     def run_items(self, task_id: str, items: Sequence[str], batch_size: int = 3) -> list[ItemResult]:
-        """Chunk items and run every batch; results keep global input order."""
+        """Chunk items and run every batch; results keep global input order.
+
+        Batches run concurrently, each with its whole retry ladder on the
+        worker that sent it. Once a batch raises, no further batch starts,
+        and the failure of the earliest batch in input order is raised.
+        """
         template = self.templates[task_id]
+        requests = [BatchRequest(template, tuple(b), batch_size) for b in chunk(list(items), batch_size)]
+        if len(requests) < 2 or self.max_in_flight < 2:
+            batches = [self.run_batch(req) for req in requests]
+        else:
+            batches = self._run_concurrently(requests)
         out: list[ItemResult] = []
-        for offset_batch in chunk(list(items), batch_size):
-            batch = self.run_batch(BatchRequest(template, tuple(offset_batch), batch_size))
+        for batch in batches:
             base = len(out)
             out.extend(ItemResult(base + r.item_index, r.payload, r.error) for r in batch)
         return out
+
+    def _run_concurrently(self, requests: list[BatchRequest]) -> list[list[ItemResult]]:
+        stop = threading.Event()
+
+        def send(req: BatchRequest) -> Optional[list[ItemResult]]:
+            if stop.is_set():
+                return None  # cancelled by an earlier failure
+            try:
+                return self.run_batch(req)
+            except BaseException:
+                stop.set()
+                raise
+
+        with ThreadPoolExecutor(min(self.max_in_flight, len(requests))) as pool:
+            futures = [pool.submit(send, req) for req in requests]
+        for future in futures:
+            failure = future.exception()
+            if failure is not None:
+                raise failure
+        return [future.result() for future in futures]
 
     def run_summary(self, items: Sequence[str]) -> dict:
         """One Summarize request over pre-assembled component lines.

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import BinaryIO, Callable, Optional, Union
 
 log = logging.getLogger(__name__)
 
@@ -98,10 +99,13 @@ class JsonlLog:
     """Keyed, append-only JSONL file shared by the KB and the summary cache.
 
     Replay is last-write-wins per key; lines that fail to decode are skipped
-    with a warning and counted, never fatal. Each append is one ``write()``
-    under a lock, so concurrent workers can share a single instance. On
-    storage failure the entry stays visible in memory and the log flips to
-    degraded mode rather than failing the caller.
+    with a warning and counted, never fatal. The append handle opens on the
+    first append and stays open until :meth:`close`; if the file then ends in
+    a torn line, a newline is written first so the next line starts fresh.
+    Each append is one ``write()`` and a ``flush()`` under a lock, so
+    concurrent workers can share a single instance. On storage failure the
+    entry stays visible in memory and the log flips to degraded mode rather
+    than failing the caller.
     """
 
     def __init__(self, path: Union[str, Path, None]):
@@ -110,6 +114,7 @@ class JsonlLog:
         self.corrupt_lines = 0
         self.degraded = False
         self._lock = threading.Lock()
+        self._fh: Optional[BinaryIO] = None
 
     def replay(self, decode: Callable[[str], tuple]) -> None:
         """Load ``(key, value) = decode(line)`` for every line; a missing file is empty."""
@@ -128,17 +133,41 @@ class JsonlLog:
                     continue
                 self.records[key] = value
 
+    def _open(self) -> BinaryIO:
+        fh = open(self.path, "a+b")  # positioned at the end
+        if fh.tell() > 0:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")  # goes out with the first line
+        return fh
+
     def _put(self, key, value, line: str) -> None:
         with self._lock:
             self.records[key] = value
             if self.path is None:
                 return
             try:
-                with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
+                if self._fh is None:
+                    self._fh = self._open()
+                self._fh.write((line + "\n").encode("utf-8"))
+                self._fh.flush()
             except OSError as exc:
                 self.degraded = True
                 log.warning("%s: append failed, continuing in memory: %s", self.path, exc)
+                self._close()
+
+    def _close(self) -> None:
+        if self._fh is not None:
+            fh, self._fh = self._fh, None
+            try:
+                fh.close()
+            except OSError:
+                pass
+
+    def close(self) -> None:
+        """Close the append handle; a later append opens it again."""
+        with self._lock:
+            self._close()
 
 
 class KnowledgeBase(JsonlLog):

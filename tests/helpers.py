@@ -368,9 +368,11 @@ def build_apk(path: Path, entries: list[tuple[str, bytes]]) -> Path:
 # Test backends
 
 import json as _json
+import threading as _threading
+import time as _time
 
 from aidiscover.backends import MockBackend
-from aidiscover.gateway import TaskId
+from aidiscover.gateway import BackendUnavailable, TaskId
 
 
 class ScriptedBackend:
@@ -410,3 +412,35 @@ class DroppingBackend:
             rows = _json.loads(raw)
             return _json.dumps(rows[:-1])
         return raw
+
+
+class FailingCall:
+    """Mock answers, except that call number ``fail_at`` raises BackendUnavailable.
+
+    Counts calls. The first call is held until the failure has been raised,
+    so a gateway that noticed failures only in batch order would have sent
+    every queued batch by then; every other call takes 20 ms, so a worker
+    busy when the failure is raised is still in that call when it is seen.
+    """
+
+    model_id = "failing-call"
+
+    def __init__(self, fail_at: int):
+        self.inner = MockBackend()
+        self.fail_at = fail_at
+        self.calls = 0
+        self._lock = _threading.Lock()
+        self._failed = _threading.Event()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls += 1
+            number = self.calls
+        if number == self.fail_at:
+            self._failed.set()
+            raise BackendUnavailable(f"call {number} failed")
+        if number == 1:
+            self._failed.wait(5)
+        else:
+            _time.sleep(0.02)
+        return self.inner.complete(request)

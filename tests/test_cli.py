@@ -67,6 +67,21 @@ class TestAnalyze:
         code, _ = analyze(tmp_path, [tmp_path / "nope.apk"])
         assert code == cli.EXIT_FAILURE
 
+    def test_manifest_counts_calls_by_task(self, tmp_path, fixture_corpus):
+        apks, _, _ = fixture_corpus
+        kb_path = tmp_path / "cold.kb.jsonl"
+        _, cold = analyze(tmp_path, apks, out="cold")
+        manifest = json.loads((cold / "manifest.json").read_text())
+        by_task = manifest["backend_calls_by_task"]
+        assert set(by_task) >= {"Analyze", "Detect", "ClassifyTaxonomy", "Summarize"}
+        assert sum(by_task.values()) == manifest["backend_calls"] > 0
+
+        warm = tmp_path / "warm"
+        assert run_cli("analyze", "--kb", kb_path, "--out", warm, "--deterministic", *apks) == cli.EXIT_OK
+        manifest = json.loads((warm / "manifest.json").read_text())
+        assert manifest["backend_calls_by_task"] == {}
+        assert manifest["backend_calls"] == 0
+
     def test_deterministic_reports_byte_identical(self, tmp_path, fixture_corpus):
         apks, _, _ = fixture_corpus
         _, dir_a = analyze(tmp_path, apks[:3], out="run_a")

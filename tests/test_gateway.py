@@ -1,5 +1,9 @@
 import json
 import math
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,7 +26,7 @@ from aidiscover.gateway import (
 from aidiscover.prompts import load_templates
 
 from conftest import make_gateway
-from helpers import DroppingBackend, ScriptedBackend
+from helpers import DroppingBackend, FailingCall, ScriptedBackend
 
 
 class TestChunk:
@@ -284,3 +288,116 @@ class TestInFlightLimit:
             results = [f.result() for f in futures]
         assert backend.peak <= 2
         assert all(r[0].payload is not None for r in results)
+
+
+class TestConcurrentDispatch:
+    def test_twelve_batches_fill_four_slots_and_keep_order(self):
+        class ShrinkingDelay:
+            """Batch b (items item<3b>..) sleeps (12 - b) * 20 ms: later batches finish first."""
+
+            model_id = "shrinking"
+
+            def __init__(self):
+                self.inner = MockBackend()
+                self.active = 0
+                self.peak = 0
+                self.finished = []
+                self.lock = threading.Lock()
+                self.start = threading.Barrier(4, timeout=5)
+
+            def complete(self, request):
+                batch = int(request.items[0].removeprefix("com.item")) // 3
+                with self.lock:
+                    self.active += 1
+                    self.peak = max(self.peak, self.active)
+                if batch < 4:
+                    self.start.wait()  # the first four are in flight together
+                time.sleep((12 - batch) * 0.02)
+                with self.lock:
+                    self.active -= 1
+                    self.finished.append(batch)
+                return self.inner.complete(request)
+
+        backend = ShrinkingDelay()
+        items = [f"com.item{i}" for i in range(36)]
+        results = make_gateway(backend, max_in_flight=4).run_items(TaskId.ANALYZE, items)
+        expected = make_gateway(max_in_flight=1).run_items(TaskId.ANALYZE, items)
+        assert backend.peak == 4
+        assert backend.finished != sorted(backend.finished)
+        assert [r.item_index for r in results] == list(range(36))
+        assert [r.payload for r in results] == [r.payload for r in expected]
+
+    def test_singleton_fallbacks_stay_on_the_sending_thread(self):
+        class ThreadRecordingDropper(DroppingBackend):
+            def __init__(self):
+                super().__init__()
+                self.sent = []  # (items, thread ident)
+
+            def complete(self, request):
+                self.sent.append((request.items, threading.get_ident()))
+                time.sleep(0.002)
+                return super().complete(request)
+
+        backend = ThreadRecordingDropper()
+        items = [f"com.mlkit.k{i}" for i in range(36)]
+        gateway = make_gateway(backend, max_in_flight=4)
+        results = gateway.run_items(TaskId.DETECT, items)
+        assert all(r.payload is not None for r in results)
+        assert [r.item_index for r in results] == list(range(36))
+        batch_thread = {}
+        for sent_items, thread in backend.sent:
+            if len(sent_items) > 1:
+                assert batch_thread.setdefault(sent_items, thread) == thread
+        assert len(batch_thread) == 12
+        assert len(set(batch_thread.values())) > 1
+        for sent_items, thread in backend.sent:
+            if len(sent_items) == 1:
+                [home] = [b for b in batch_thread if sent_items[0] in b]
+                assert thread == batch_thread[home]
+        # per batch: 1 + 2 whole-batch retries + 3 singletons
+        assert gateway.call_count == 12 * 6
+
+    def test_no_batch_starts_after_a_failure(self):
+        backend = FailingCall(fail_at=2)
+        gateway = make_gateway(backend, max_in_flight=4)
+        with pytest.raises(BackendUnavailable):
+            gateway.run_items(TaskId.DETECT, [f"com.x{i}" for i in range(36)])
+        # the failed call plus at most the other max_in_flight - 1 in flight
+        assert 2 <= backend.calls <= 2 + 3
+
+    def test_earliest_failure_in_batch_order_is_raised(self):
+        class TwoFailures:
+            model_id = "two-failures"
+
+            def __init__(self):
+                self.first_started = threading.Event()
+                self.second_raised = threading.Event()
+
+            def complete(self, request):
+                if request.items == ("b1",):
+                    self.first_started.set()
+                    self.second_raised.wait(5)
+                    raise BackendUnavailable("b1")
+                if request.items == ("b2",):
+                    self.first_started.wait(5)
+                    self.second_raised.set()
+                    raise BackendUnavailable("b2")
+                return MockBackend().complete(request)
+
+        gateway = make_gateway(TwoFailures(), max_in_flight=4)
+        with pytest.raises(BackendUnavailable, match="b1"):
+            gateway.run_items(TaskId.DETECT, ["b0", "b1", "b2", "b3"], batch_size=1)
+
+    def test_counters_hold_under_fast_thread_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            gateway = make_gateway(max_in_flight=8)
+            items = [f"com.stress.k{i}" for i in range(60)]
+            with ThreadPoolExecutor(max_workers=3) as apps:
+                runs = [apps.submit(gateway.run_items, TaskId.DETECT, items) for _ in range(3)]
+                results = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all([r.item_index for r in result] == list(range(60)) for result in results)
+        assert gateway.call_count == gateway.call_counts[TaskId.DETECT] == 3 * 20

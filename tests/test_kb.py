@@ -36,6 +36,7 @@ def test_normalize_text():
 def test_insert_then_lookup(tmp_path):
     kb = kb_sync(tmp_path / "kb.jsonl")
     stored = kb.insert(ai_record())
+    kb.close()
     assert stored.created_at is not None
     assert kb.lookup(stored.key) == stored
 
@@ -53,6 +54,7 @@ def test_last_write_wins_in_memory_and_on_replay(tmp_path):
     kb.insert(ai_record(text=key_text))
     key = KbKey.make("Package", key_text)
     assert kb.lookup(key).verdict == VERDICT_AI
+    kb.close()
 
     reloaded = kb_sync(path)
     assert reloaded.lookup(key).verdict == VERDICT_AI
@@ -108,6 +110,7 @@ def test_round_trip_10k_records(tmp_path):
             record = non_ai_record(text=text)
         kb.insert(record)
         expected[record.key] = record.verdict
+    kb.close()
     reloaded = kb_sync(path)
     assert {k: r.verdict for k, r in reloaded.records.items()} == expected
 
@@ -118,6 +121,7 @@ def test_append_only(tmp_path):
     kb.insert(ai_record(text="com.first"))
     before = path.read_bytes()
     kb.insert(ai_record(text="com.second"))
+    kb.close()
     after = path.read_bytes()
     assert after[: len(before)] == before
     assert len(after) > len(before)
@@ -136,6 +140,7 @@ def test_concurrent_appends_distinct_keys(tmp_path):
         t.start()
     for t in threads:
         t.join()
+    kb.close()
 
     reloaded = kb_sync(path)
     assert len(reloaded.records) == 800
@@ -158,6 +163,7 @@ def test_no_key_is_both_verdicts_after_replay(tmp_path):
     for i in range(50):
         kb.insert(non_ai_record(text=f"com.k{i % 10}"))
         kb.insert(ai_record(text=f"com.k{i % 10}"))
+    kb.close()
     reloaded = kb_sync(path)
     seen: dict[KbKey, str] = {}
     for key, record in reloaded.records.items():
@@ -189,6 +195,7 @@ def test_summary_cache_round_trip(tmp_path):
     path = tmp_path / "kb.jsonl.summaries"
     cache = SummaryCache(path)
     cache.put("digest-1", {"summary": "s", "capabilities": ["a"]})
+    cache.close()
     assert cache.get("digest-1") == {"summary": "s", "capabilities": ["a"]}
     reloaded = SummaryCache(path)
     assert reloaded.get("digest-1") == {"summary": "s", "capabilities": ["a"]}
@@ -197,9 +204,53 @@ def test_summary_cache_round_trip(tmp_path):
 
 def test_summary_cache_skips_corrupt_lines(tmp_path):
     path = tmp_path / "kb.jsonl.summaries"
-    SummaryCache(path).put("digest-1", {"summary": "s", "capabilities": []})
+    first = SummaryCache(path)
+    first.put("digest-1", {"summary": "s", "capabilities": []})
+    first.close()
     with open(path, "a", encoding="utf-8") as fh:
         fh.write('{"digest": "torn\n[]\n')
     reloaded = SummaryCache(path)
     assert reloaded.get("digest-1") == {"summary": "s", "capabilities": []}
     assert reloaded.corrupt_lines == 2
+
+
+def test_append_after_torn_tail_starts_fresh_line(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    path.write_text(ai_record(text="com.a").to_line() + "\n" + '{"kind": "Package", "te')
+    kb = kb_sync(path)
+    kb.insert(ai_record(text="com.b"))
+    kb.close()
+    reloaded = kb_sync(path)
+    assert set(reloaded.records) == {KbKey.make("Package", "com.a"), KbKey.make("Package", "com.b")}
+    assert reloaded.corrupt_lines == 1
+
+
+def test_summary_cache_append_after_torn_tail(tmp_path):
+    path = tmp_path / "kb.jsonl.summaries"
+    first = SummaryCache(path)
+    first.put("digest-1", {"summary": "s", "capabilities": []})
+    first.close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write('{"digest": "to')
+    cache = SummaryCache(path)
+    cache.put("digest-2", {"summary": "t", "capabilities": []})
+    cache.close()
+    reloaded = SummaryCache(path)
+    assert reloaded.get("digest-1") == {"summary": "s", "capabilities": []}
+    assert reloaded.get("digest-2") == {"summary": "t", "capabilities": []}
+    assert reloaded.corrupt_lines == 1
+
+
+def test_append_handle_stays_open_until_close(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    kb = kb_sync(path)
+    kb.insert(ai_record(text="com.first"))
+    handle = kb._fh
+    kb.insert(ai_record(text="com.second"))
+    assert kb._fh is handle and not handle.closed
+    assert len(kb_sync(path).records) == 2  # each line is flushed as it is written
+    kb.close()
+    assert handle.closed
+    kb.insert(ai_record(text="com.third"))  # reopens lazily
+    kb.close()
+    assert len(kb_sync(path).records) == 3

@@ -25,7 +25,7 @@ from aidiscover.taxonomy import classify_components
 from aidiscover.whitelist import load_whitelist
 
 from conftest import make_gateway
-from helpers import ScriptedBackend
+from helpers import FailingCall, ScriptedBackend
 
 ATD = PipelineOrder.ANALYSIS_THEN_DETECTION
 DTA = PipelineOrder.DETECTION_THEN_ANALYSIS
@@ -206,6 +206,25 @@ class TestRunPipeline:
         write_back(result, kb, dead_gateway.model_id)
         assert kb.lookup(result.verdicts[1].kb_key()) is None
 
+    def test_backend_failure_mid_dispatch_degrades(self):
+        kb = KnowledgeBase()
+        cached = KbRecord(
+            key=KbKey.make(CandidateKind.PACKAGE, "com.cached.ai"),
+            verdict=VERDICT_AI,
+            analysis="cached",
+            model_id="mock",
+        )
+        kb.insert(cached)
+        backend = FailingCall(fail_at=3)
+        gateway = make_gateway(backend, max_in_flight=4)
+        texts = ["com.cached.ai"] + [f"com.fresh.k{i}" for i in range(30)]
+        result = run_pipeline(cand_set(texts), PipelineConfig(), kb, gateway)
+        assert result.degraded is True
+        assert backend.calls <= 3 + 3  # no batch starts once the failure is seen
+        hit = result.verdicts[0]
+        assert (hit.is_ai, hit.analysis, hit.provenance) == (True, "cached", PROVENANCE_KB)
+        assert all(v.rationale == FAILURE_RATIONALE for v in result.verdicts[1:])
+
 
 class FailingTask(MockBackend):
     """Mock answers, except that one task gets ``failure``: raw text, or an exception raised."""
@@ -240,6 +259,7 @@ class TestWriteBack:
         result = run_pipeline(cand_set(texts), PipelineConfig(), kb, mock_gateway)
         classify_components([v for v in result.verdicts if v.is_ai], mock_gateway)
         write_back(result, kb, mock_gateway.model_id)
+        kb.close()
         lines = [json.loads(line) for line in path.read_text().splitlines()]
         # one new line for the filled-in KB hit, one for the fresh verdict
         assert [(r["text"], r["domain"], r["task"]) for r in lines[2:]] == [
