@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 from urllib.parse import urlsplit
 
 from .apk import ApkArchive, EntryKind
@@ -52,27 +53,13 @@ class CandidateKind:
         return cls._ORDER.get(kind, len(cls.ALL))
 
 
-@dataclass(frozen=True)
 class ApiSignature:
-    """A method reference with class, return type, name, and parameter types."""
+    """The rendered API signature format: ``<class: ret name(params)>``."""
 
-    class_name: str
-    return_type: str
-    method_name: str
-    param_types: tuple[str, ...] = ()
-
-    def render(self) -> str:
-        params = ",".join(self.param_types)
-        return f"<{self.class_name}: {self.return_type} {self.method_name}({params})>"
-
-    @classmethod
-    def from_method(cls, method: MethodRef) -> "ApiSignature":
-        return cls(
-            class_name=method.class_name,
-            return_type=method.return_type,
-            method_name=method.name,
-            param_types=tuple(method.param_types),
-        )
+    @staticmethod
+    def render(method: MethodRef) -> str:
+        params = ",".join(method.param_types)
+        return f"<{method.class_name}: {method.return_type} {method.name}({params})>"
 
     @staticmethod
     def class_name_of(rendered: str) -> Optional[str]:
@@ -118,16 +105,33 @@ def find_urls(text: str) -> list[str]:
     return [m.group(0) for m in URL_RE.finditer(text)]
 
 
+def _urls_in(texts: Iterable[str]) -> Iterable[str]:
+    return (url for text in texts for url in find_urls(text))
+
+
 def _is_clean_text(text: str) -> bool:
     return bool(text) and text == text.strip() and not _CONTROL_CHARS.search(text)
 
 
-def _valid_url(text: str) -> bool:
+def _is_clean_url(text: str) -> bool:
+    if not _is_clean_text(text):
+        return False
     try:
         parts = urlsplit(text)
     except ValueError:
         return False
     return parts.scheme in ("http", "https") and bool(parts.netloc)
+
+
+def _counted(
+    kind: str, texts: Iterable[str], source: str, keep: Callable[[str], bool]
+) -> list[Candidate]:
+    """One candidate per distinct kept text, in first-seen order, with its count."""
+    return [
+        Candidate(kind, text, source, occurrences=count)
+        for text, count in Counter(texts).items()
+        if keep(text)
+    ]
 
 
 def package_of(class_name: str) -> Optional[str]:
@@ -145,34 +149,13 @@ def extract_dex_candidates(data: bytes, source: str = "classes.dex") -> list[Can
 
 
 def candidates_from_symbols(symbols: DexSymbols, source: str) -> list[Candidate]:
-    out: list[Candidate] = []
-
-    packages: dict[str, int] = {}
-    for class_name in symbols.class_names:
-        pkg = package_of(class_name)
-        if pkg:
-            packages[pkg] = packages.get(pkg, 0) + 1
-    for pkg, count in packages.items():
-        if _is_clean_text(pkg):
-            out.append(Candidate(CandidateKind.PACKAGE, pkg, source, occurrences=count))
-
-    apis: dict[str, int] = {}
-    for method in symbols.methods:
-        rendered = ApiSignature.from_method(method).render()
-        apis[rendered] = apis.get(rendered, 0) + 1
-    for rendered, count in apis.items():
-        if _is_clean_text(rendered):
-            out.append(Candidate(CandidateKind.API, rendered, source, occurrences=count))
-
-    urls: dict[str, int] = {}
-    for string in symbols.strings:
-        for url in find_urls(string):
-            urls[url] = urls.get(url, 0) + 1
-    for url, count in urls.items():
-        if _is_clean_text(url) and _valid_url(url):
-            out.append(Candidate(CandidateKind.HTTPS_REQUEST, url, source, occurrences=count))
-
-    return out
+    packages = filter(None, map(package_of, symbols.class_names))
+    apis = map(ApiSignature.render, symbols.methods)
+    return (
+        _counted(CandidateKind.PACKAGE, packages, source, _is_clean_text)
+        + _counted(CandidateKind.API, apis, source, _is_clean_text)
+        + _counted(CandidateKind.HTTPS_REQUEST, _urls_in(symbols.strings), source, _is_clean_url)
+    )
 
 
 def extract_native_candidates(data: bytes, source: str = "") -> list[Candidate]:
@@ -184,15 +167,7 @@ def extract_native_candidates(data: bytes, source: str = "") -> list[Candidate]:
     scan = scan_elf_strings(data)
     for warning in scan.warnings:
         log.warning("%s: %s", source or "<elf>", warning)
-    urls: dict[str, int] = {}
-    for run in scan.runs:
-        for url in find_urls(run):
-            urls[url] = urls.get(url, 0) + 1
-    return [
-        Candidate(CandidateKind.HTTPS_REQUEST, url, source, occurrences=count)
-        for url, count in urls.items()
-        if _is_clean_text(url) and _valid_url(url)
-    ]
+    return _counted(CandidateKind.HTTPS_REQUEST, _urls_in(scan.runs), source, _is_clean_url)
 
 
 def load_model_suffixes(path: Union[str, Path, None] = None) -> tuple[str, ...]:
@@ -217,13 +192,11 @@ def extract_asset_candidates(
     suffixes = model_suffixes if model_suffixes is not None else load_model_suffixes()
     assets = [n for n in entry_names if n.startswith("assets/")]
 
-    model_dirs = {
-        n.rsplit("/", 1)[0] for n in assets if any(n.lower().endswith(s) for s in suffixes)
-    }
+    model_dirs = {n.rsplit("/", 1)[0] for n in assets if n.lower().endswith(suffixes)}
     out: list[Candidate] = []
     for name in assets:
         lower = name.lower()
-        if any(lower.endswith(s) for s in suffixes):
+        if lower.endswith(suffixes):
             out.append(Candidate(CandidateKind.MODEL_ASSET, name, name))
         elif lower.endswith(".bin") and name.rsplit("/", 1)[0] in model_dirs:
             out.append(Candidate(CandidateKind.MODEL_ASSET, name, name))

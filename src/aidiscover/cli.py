@@ -120,6 +120,16 @@ def _load_whitelist_or_warn(path: Optional[Path]) -> Whitelist:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    paths_by_id: dict[str, str] = {}
+    for apk_path in args.apks:
+        app_id = Path(apk_path).stem
+        if app_id in paths_by_id:
+            print(
+                f"error: app id {app_id!r} names both {paths_by_id[app_id]} and {apk_path}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
+        paths_by_id[app_id] = apk_path
     file_cfg = _load_config_file(args.config)
     cfg = build_pipeline_config(args, file_cfg)
     gateway = make_gateway(args, file_cfg, cfg)
@@ -189,14 +199,21 @@ def load_label_file(path: Path) -> dict[str, str]:
             line = line.strip()
             if not line:
                 continue
-            payload = json.loads(line)
-            label = payload["label"]
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+            if not isinstance(payload, dict):
+                raise ValueError(f"{path}:{lineno}: row must be a JSON object")
+            label = payload.get("label")
             if label not in ("AI", "NonAI"):
                 raise ValueError(f"{path}:{lineno}: label must be AI or NonAI")
             if "app_id" in payload:
                 labels[f"app::{payload['app_id']}"] = label
-            else:
+            elif isinstance(payload.get("kind"), str) and isinstance(payload.get("text"), str):
                 labels[f"{payload['kind']}::{normalize_text(payload['text'])}"] = label
+            else:
+                raise ValueError(f"{path}:{lineno}: row needs an app_id, or kind and text strings")
     return labels
 
 

@@ -1,6 +1,6 @@
 """DEX id-table parser: strings, types, prototypes, methods, defined classes.
 
-Reads the fixed-layout header and the four id tables directly; no code bodies
+Reads the fixed-layout header and five id tables directly; no code bodies
 are touched. Enough to recover every class, package, and method signature an
 app defines or references, plus the raw string pool.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
+from typing import Iterator
 
 
 class DexError(Exception):
@@ -34,7 +35,6 @@ _OFF_ENDIAN_TAG = 0x28
 _OFF_STRING_IDS = 0x38  # size, then offset
 _OFF_TYPE_IDS = 0x40
 _OFF_PROTO_IDS = 0x48
-_OFF_FIELD_IDS = 0x50
 _OFF_METHOD_IDS = 0x58
 _OFF_CLASS_DEFS = 0x60
 
@@ -104,10 +104,6 @@ def _u32(data: bytes, off: int) -> int:
     return struct.unpack_from("<I", data, off)[0]
 
 
-def _u16(data: bytes, off: int) -> int:
-    return struct.unpack_from("<H", data, off)[0]
-
-
 def _uleb128(data: bytes, off: int) -> tuple[int, int]:
     result = 0
     shift = 0
@@ -130,12 +126,18 @@ def _decode_mutf8(raw: bytes) -> str:
     return raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", errors="replace")
 
 
-def _table_bounds(data: bytes, size: int, off: int, entry_width: int, what: str) -> None:
+def _table(data: bytes, header_off: int, row_fmt: str, what: str) -> Iterator[tuple]:
+    """Rows of the id table whose (size, offset) pair sits at ``header_off``.
+
+    The whole table is bounds-checked before any row is returned.
+    """
+    size, off = struct.unpack_from("<II", data, header_off)
     if size == 0:
-        return
-    end = off + size * entry_width
+        return iter(())
+    end = off + size * struct.calcsize(row_fmt)
     if off < HEADER_SIZE or end > len(data):
         raise TruncatedDex(f"{what} table [{off:#x}, {end:#x}) out of bounds")
+    return struct.iter_unpack(row_fmt, memoryview(data)[off:end])
 
 
 def parse_dex(data: bytes) -> DexSymbols:
@@ -156,22 +158,20 @@ def parse_dex(data: bytes) -> DexSymbols:
     if _u32(data, _OFF_ENDIAN_TAG) != ENDIAN_CONSTANT:
         raise TruncatedDex("big-endian or garbled endian tag not supported")
 
-    string_ids_size, string_ids_off = _u32(data, _OFF_STRING_IDS), _u32(data, _OFF_STRING_IDS + 4)
-    type_ids_size, type_ids_off = _u32(data, _OFF_TYPE_IDS), _u32(data, _OFF_TYPE_IDS + 4)
-    proto_ids_size, proto_ids_off = _u32(data, _OFF_PROTO_IDS), _u32(data, _OFF_PROTO_IDS + 4)
-    method_ids_size, method_ids_off = _u32(data, _OFF_METHOD_IDS), _u32(data, _OFF_METHOD_IDS + 4)
-    class_defs_size, class_defs_off = _u32(data, _OFF_CLASS_DEFS), _u32(data, _OFF_CLASS_DEFS + 4)
-
-    _table_bounds(data, string_ids_size, string_ids_off, 4, "string_ids")
-    _table_bounds(data, type_ids_size, type_ids_off, 4, "type_ids")
-    _table_bounds(data, proto_ids_size, proto_ids_off, 12, "proto_ids")
-    _table_bounds(data, method_ids_size, method_ids_off, 8, "method_ids")
-    _table_bounds(data, class_defs_size, class_defs_off, 0x20, "class_defs")
+    # Check every table's bounds before reading any row, so a table that runs
+    # off the file is reported ahead of a bad row in an earlier table.
+    string_ids = _table(data, _OFF_STRING_IDS, "<I", "string_ids")
+    type_ids = _table(data, _OFF_TYPE_IDS, "<I", "type_ids")
+    # (shorty_idx, return_type_idx, parameters_off)
+    proto_ids = _table(data, _OFF_PROTO_IDS, "<III", "proto_ids")
+    # (class_idx u16, proto_idx u16, name_idx u32)
+    method_ids = _table(data, _OFF_METHOD_IDS, "<HHI", "method_ids")
+    # only class_idx (u32 at row start) matters for defined classes
+    class_defs = _table(data, _OFF_CLASS_DEFS, "<I28x", "class_defs")
 
     # string_ids: u32 offsets to string_data_item (uleb128 utf16 length + MUTF-8 + NUL)
     strings: list[str] = []
-    for i in range(string_ids_size):
-        str_off = _u32(data, string_ids_off + i * 4)
+    for (str_off,) in string_ids:
         if str_off >= len(data):
             raise TruncatedDex(f"string_data offset {str_off:#x} out of bounds")
         _, lead = _uleb128(data, str_off)
@@ -183,18 +183,13 @@ def parse_dex(data: bytes) -> DexSymbols:
 
     # type_ids: u32 indexes into the string pool (descriptors)
     descriptors: list[str] = []
-    for i in range(type_ids_size):
-        str_idx = _u32(data, type_ids_off + i * 4)
+    for i, (str_idx,) in enumerate(type_ids):
         if str_idx >= len(strings):
             raise TruncatedDex(f"type_id {i} string index {str_idx} out of range")
         descriptors.append(strings[str_idx])
 
-    # proto_ids: (shorty_idx u32, return_type_idx u32, parameters_off u32)
     protos: list[tuple[str, list[str]]] = []
-    for i in range(proto_ids_size):
-        base = proto_ids_off + i * 12
-        return_type_idx = _u32(data, base + 4)
-        parameters_off = _u32(data, base + 8)
+    for i, (_, return_type_idx, parameters_off) in enumerate(proto_ids):
         if return_type_idx >= len(descriptors):
             raise TruncatedDex(f"proto {i} return type index out of range")
         params: list[str] = []
@@ -204,20 +199,15 @@ def parse_dex(data: bytes) -> DexSymbols:
             count = _u32(data, parameters_off)
             if parameters_off + 4 + count * 2 > len(data):
                 raise TruncatedDex(f"proto {i} type_list runs off end")
-            for j in range(count):
-                type_idx = _u16(data, parameters_off + 4 + j * 2)
+            type_idxs = struct.unpack_from(f"<{count}H", data, parameters_off + 4)
+            for j, type_idx in enumerate(type_idxs):
                 if type_idx >= len(descriptors):
                     raise TruncatedDex(f"proto {i} param {j} type index out of range")
                 params.append(descriptor_to_source(descriptors[type_idx]))
         protos.append((descriptor_to_source(descriptors[return_type_idx]), params))
 
-    # method_ids: (class_idx u16, proto_idx u16, name_idx u32)
     methods: list[MethodRef] = []
-    for i in range(method_ids_size):
-        base = method_ids_off + i * 8
-        class_idx = _u16(data, base)
-        proto_idx = _u16(data, base + 2)
-        name_idx = _u32(data, base + 4)
+    for i, (class_idx, proto_idx, name_idx) in enumerate(method_ids):
         if class_idx >= len(descriptors) or proto_idx >= len(protos) or name_idx >= len(strings):
             raise TruncatedDex(f"method_id {i} index out of range")
         ret, params = protos[proto_idx]
@@ -230,10 +220,8 @@ def parse_dex(data: bytes) -> DexSymbols:
             )
         )
 
-    # class_defs: only class_idx (u32 at row start) matters for defined classes
     defined: list[str] = []
-    for i in range(class_defs_size):
-        class_idx = _u32(data, class_defs_off + i * 0x20)
+    for i, (class_idx,) in enumerate(class_defs):
         if class_idx >= len(descriptors):
             raise TruncatedDex(f"class_def {i} type index out of range")
         name = class_descriptor_to_name(descriptors[class_idx])

@@ -288,6 +288,10 @@ class LlmGateway:
         rate_limit_retries: int = 5,
         sleeper: Callable[[float], None] = time.sleep,
     ):
+        if max_in_flight < 1:
+            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
+        if retry_budget < 0:
+            raise ValueError(f"retry_budget must be >= 0, got {retry_budget}")
         self.backend = backend
         self.templates = templates
         self.sampling = sampling or SamplingConfig()

@@ -49,6 +49,7 @@ def fake_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions"
     server.shutdown()
+    server.server_close()
 
 
 def _request(prompt="judge this") -> RenderedRequest:

@@ -54,6 +54,19 @@ class TestAnalyze:
         assert report["capabilities"] == []
         assert report["app_label"] is None
 
+    def test_duplicate_app_id_is_refused(self, tmp_path, fixture_corpus, capsys):
+        apks, _, _ = fixture_corpus
+        first, second = tmp_path / "a" / "app.apk", tmp_path / "b" / "app.apk"
+        for path in (first, second):
+            path.parent.mkdir()
+            path.write_bytes(Path(apks[0]).read_bytes())
+        code, out_dir = analyze(tmp_path, [first, second])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "'app'" in err and str(first) in err and str(second) in err
+        assert not out_dir.exists()
+        assert not (tmp_path / "reports.kb.jsonl").exists()
+
     def test_missing_apk_is_isolated(self, tmp_path, fixture_corpus):
         apks, _, _ = fixture_corpus
         code, out_dir = analyze(tmp_path, [apks[0], tmp_path / "missing.apk"])
@@ -167,6 +180,20 @@ class TestEvaluate:
         assert code == cli.EXIT_OK
         assert "precision: 1.0000" in out
         assert "recall:    0.5000" in out
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        ['{"kind": "Package", "label": "AI"}', '["Package", "com.b", "AI"]', '{"kind": Package'],
+        ids=["no-text", "not-an-object", "invalid-json"],
+    )
+    def test_malformed_truth_row_names_its_line(self, tmp_path, capsys, bad_line):
+        good = {"kind": "Package", "text": "com.a", "label": "AI"}
+        predictions = write_jsonl(tmp_path / "p.jsonl", [good])
+        truth = tmp_path / "t.jsonl"
+        truth.write_text(json.dumps(good) + "\n" + bad_line + "\n", encoding="utf-8")
+        code = run_cli("evaluate", "--predictions", predictions, "--truth", truth)
+        assert code == cli.EXIT_FAILURE
+        assert f"{truth}:2:" in capsys.readouterr().err
 
     def test_degenerate_precision_flagged(self, tmp_path, capsys):
         predictions = write_jsonl(

@@ -1,10 +1,13 @@
 import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aidiscover.candidates import ApiSignature
 from aidiscover.dex import (
     BadDexMagic,
+    DexError,
+    DexSymbols,
     TruncatedDex,
     descriptor_to_source,
     parse_dex,
@@ -39,7 +42,7 @@ def test_parse_golden_dex_tables():
         "com.google.firebase.ml.vision.objects.FirebaseVisionObjectDetector",
     }
     assert set(symbols.defined_class_names) == {"com.example.Foo", "d.f.e.x.b"}
-    rendered = {ApiSignature.from_method(m).render() for m in symbols.methods}
+    rendered = {ApiSignature.render(m) for m in symbols.methods}
     assert rendered == {
         "<com.example.Foo: void bar()>",
         "<d.f.e.x.b: void <init>(int)>",
@@ -53,7 +56,7 @@ def test_method_with_parameters_renders_in_order():
         .build()
     )
     symbols = parse_dex(dex)
-    rendered = {ApiSignature.from_method(m).render() for m in symbols.methods}
+    rendered = {ApiSignature.render(m) for m in symbols.methods}
     assert rendered == {"<com.a.B: java.lang.String join(int,java.lang.String,byte[])>"}
 
 
@@ -93,3 +96,28 @@ def test_multidex_shared_reference():
     symbols_b = parse_dex(b)
     assert "com.shared.Thing" in symbols_b.class_names
     assert "com.shared.Thing" not in symbols_b.defined_class_names
+
+
+# Size and offset words of the string, type, proto, field, method and class tables.
+_TABLE_HEADER_FIELDS = list(range(0x38, 0x68, 4))
+
+
+@given(
+    st.dictionaries(
+        st.sampled_from(_TABLE_HEADER_FIELDS),
+        st.one_of(st.integers(0, 0x400), st.integers(0, 2**32 - 1)),
+        max_size=4,
+    ),
+    st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), max_size=8),
+)
+def test_mutated_dex_raises_only_dex_errors(fields, flips):
+    blob = bytearray(golden_dex1())
+    for off, value in fields.items():
+        struct.pack_into("<I", blob, off, value)
+    for pos, mask in flips:
+        blob[pos % len(blob)] ^= mask
+    try:
+        symbols = parse_dex(bytes(blob))
+    except DexError:
+        return
+    assert isinstance(symbols, DexSymbols)

@@ -66,6 +66,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             PromptTemplate(task_id=TaskId.DETECT, instruction="decide", few_shot=())
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_in_flight": 0}, {"max_in_flight": -1}, {"retry_budget": -1}]
+    )
+    def test_gateway_rejects(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            make_gateway(**kwargs)
+
     def test_batch_request_bounds(self):
         template = load_templates()[TaskId.DETECT]
         with pytest.raises(ValueError):
