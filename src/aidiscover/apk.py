@@ -4,10 +4,16 @@ from __future__ import annotations
 
 import re
 import zipfile
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterator, Union
+
+try:
+    from lzma import LZMAError
+except ImportError:  # without lzma, zipfile refuses LZMA entries with RuntimeError
+    LZMAError = RuntimeError
 
 
 class ApkError(Exception):
@@ -37,6 +43,20 @@ _DEX_NAME = re.compile(r"^classes(?:[2-9]|[1-9][0-9]{1,2})?\.dex$")
 
 # Local file header, end-of-central-directory (empty archive), or spanned marker.
 _ZIP_MAGICS = (b"PK\x03\x04", b"PK\x05\x06", b"PK\x07\x08")
+
+# What zipfile raises on hostile headers or entry bodies: unsupported versions
+# and methods, encryption flags, undecodable names, bad offsets (a negative
+# seek is EINVAL) and corrupt or truncated compressed streams.
+_ZIP_ERRORS = (
+    zipfile.BadZipFile,
+    NotImplementedError,
+    RuntimeError,
+    UnicodeDecodeError,
+    OSError,
+    EOFError,
+    zlib.error,
+    LZMAError,
+)
 
 
 def classify_entry(name: str) -> EntryKind:
@@ -88,11 +108,16 @@ class ApkArchive:
         return [e for e in self.entries if e.kind is kind]
 
     def read_bytes(self, entry: Union[ApkEntry, str]) -> bytes:
-        """Decompress and return one entry body."""
+        """Decompress and return one entry body.
+
+        Raises:
+            CorruptCentralDirectory: the entry is missing, or its header or
+                compressed body is corrupt or unsupported.
+        """
         name = entry.name if isinstance(entry, ApkEntry) else entry
         try:
             return self._zf.read(name)
-        except (zipfile.BadZipFile, KeyError) as exc:
+        except (KeyError, *_ZIP_ERRORS) as exc:
             raise CorruptCentralDirectory(f"cannot read entry {name!r}: {exc}") from exc
 
     def close(self) -> None:
@@ -127,6 +152,7 @@ def open_apk(path: Union[str, Path]) -> ApkArchive:
         NotAZip: the file lacks a ZIP magic number.
         CorruptCentralDirectory: the central directory cannot be parsed or
             contains duplicate or hostile entry names.
+        OSError: the file cannot be opened (FileNotFoundError if missing).
 
     An APK without any .dex entry is NOT an error here; callers decide how to
     treat it.
@@ -139,24 +165,27 @@ def open_apk(path: Union[str, Path]) -> ApkArchive:
 
     try:
         zf = zipfile.ZipFile(path, mode="r")
-    except zipfile.BadZipFile as exc:
+    except _ZIP_ERRORS as exc:
         raise CorruptCentralDirectory(f"{path}: {exc}") from exc
 
     entries: list[ApkEntry] = []
     seen: set[str] = set()
-    for info in zf.infolist():
-        if info.filename.endswith("/"):
-            continue  # directory placeholder, no payload
-        _check_entry_name(info.filename)
-        if info.filename in seen:
-            zf.close()
-            raise CorruptCentralDirectory(f"duplicate entry name: {info.filename!r}")
-        seen.add(info.filename)
-        entries.append(
-            ApkEntry(
-                name=info.filename,
-                kind=classify_entry(info.filename),
-                size_bytes=info.file_size,
+    try:
+        for info in zf.infolist():
+            if info.filename.endswith("/"):
+                continue  # directory placeholder, no payload
+            _check_entry_name(info.filename)
+            if info.filename in seen:
+                raise CorruptCentralDirectory(f"duplicate entry name: {info.filename!r}")
+            seen.add(info.filename)
+            entries.append(
+                ApkEntry(
+                    name=info.filename,
+                    kind=classify_entry(info.filename),
+                    size_bytes=info.file_size,
+                )
             )
-        )
+    except BaseException:
+        zf.close()
+        raise
     return ApkArchive(source_path=path, entries=entries, zf=zf)

@@ -408,11 +408,41 @@ class LlmGateway:
                 raise failure
         return [future.result() for future in futures]
 
+    def summary_fit(self, items: Sequence[str]) -> int:
+        """Length of the longest prefix of ``items`` whose Summarize prompt fits.
+
+        ``render_prompt`` is the only test. The whole list is tried first, so
+        a summary that fits costs one render; otherwise the prefix length is
+        binary-searched. That finds the same cut as dropping items from the
+        end one at a time, because the token estimate grows strictly with
+        every added item (a prompt line plus reserved output tokens).
+        """
+        template = self.templates[TaskId.SUMMARIZE]
+
+        def fits(n: int) -> bool:
+            req = BatchRequest(template, tuple(items[:n]), batch_size=n)
+            try:
+                render_prompt(req, self.sampling)
+            except ContextOverflow:
+                return False
+            return True
+
+        if not items or fits(len(items)):
+            return len(items)
+        lo, hi = 0, len(items)  # the first lo items fit, the first hi do not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if fits(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
     def run_summary(self, items: Sequence[str]) -> dict:
         """One Summarize request over pre-assembled component lines.
 
-        Raises ContextOverflow instead of splitting: the caller owns the
-        ranking/truncation policy for summaries.
+        Raises ContextOverflow instead of splitting: the caller ranks the
+        lines and sends the prefix that ``summary_fit`` accepts.
         """
         template = self.templates[TaskId.SUMMARIZE]
         req = BatchRequest(template, tuple(items), batch_size=max(len(items), 1))

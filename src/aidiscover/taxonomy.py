@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .candidates import ApiSignature, CandidateKind, package_of
-from .gateway import ContextOverflow, GatewayError, LlmGateway, TaskId
+from .gateway import GatewayError, LlmGateway, TaskId
 from .pipeline import ComponentVerdict
 
 log = logging.getLogger(__name__)
@@ -149,9 +149,10 @@ def summarize_app(
     """Generate the per-app AI service report from its AI-positive verdicts.
 
     Low-level API components whose parent package is itself an AI component
-    are left out of the prompt; if the remainder still overflows the context
-    budget, components are dropped lowest-occurrence-first. Backend failure
-    degrades to a marker summary with the raw analyses as capabilities.
+    are left out of the prompt. The rest are ranked by occurrences, kind and
+    text, and the longest ranked prefix that fits the context budget is sent,
+    so the least-seen components are dropped first. Backend failure degrades
+    to a marker summary with the raw analyses as capabilities.
     """
     kind_counts = dict(Counter(v.candidate.kind for v in ai_verdicts))
     if not ai_verdicts:
@@ -170,37 +171,38 @@ def summarize_app(
         )
     )
 
-    while included:
-        lines = [_component_line(v) for v in included]
-        try:
-            payload = gateway.run_summary(lines)
-        except ContextOverflow:
-            dropped = included.pop()
-            log.info("summary over budget; dropped %s", dropped.candidate.text)
-            continue
-        except GatewayError as exc:
-            log.warning("summary generation failed for %s: %s", app_id, exc)
-            return AiServiceReport(
-                app_id=app_id,
-                summary=SUMMARY_UNAVAILABLE,
-                capabilities=[v.analysis for v in included if v.analysis],
-                kind_counts=kind_counts,
-                degraded=True,
-            )
+    lines = [_component_line(v) for v in included]
+    kept = gateway.summary_fit(lines)
+    if kept < len(included):
+        log.info(
+            "summary over budget for %s; dropped %d components, kept %d",
+            app_id, len(included) - kept, kept,
+        )
+    if not kept:
+        # Nothing fits the context at all; report what we know verbatim.
         return AiServiceReport(
             app_id=app_id,
-            summary=payload["summary"],
-            capabilities=list(payload["capabilities"]),
+            summary=SUMMARY_UNAVAILABLE,
+            capabilities=[v.analysis for v in ai_verdicts if v.analysis],
             kind_counts=kind_counts,
+            degraded=True,
         )
-
-    # Nothing fits the context at all; report what we know verbatim.
+    try:
+        payload = gateway.run_summary(lines[:kept])
+    except GatewayError as exc:
+        log.warning("summary generation failed for %s: %s", app_id, exc)
+        return AiServiceReport(
+            app_id=app_id,
+            summary=SUMMARY_UNAVAILABLE,
+            capabilities=[v.analysis for v in included[:kept] if v.analysis],
+            kind_counts=kind_counts,
+            degraded=True,
+        )
     return AiServiceReport(
         app_id=app_id,
-        summary=SUMMARY_UNAVAILABLE,
-        capabilities=[v.analysis for v in ai_verdicts if v.analysis],
+        summary=payload["summary"],
+        capabilities=list(payload["capabilities"]),
         kind_counts=kind_counts,
-        degraded=True,
     )
 
 

@@ -6,6 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from aidiscover.backends import MockBackend
 from aidiscover.gateway import LlmGateway
@@ -20,6 +21,34 @@ OPENAI_CHAT_URL = "https://api.openai.com/v1/chat/completions"
 def make_gateway(backend=None, **kwargs) -> LlmGateway:
     kwargs.setdefault("sleeper", lambda _: None)
     return LlmGateway(backend or MockBackend(), load_templates(), **kwargs)
+
+
+# (word overwrites, byte flips) for mutate(): each word is (position, width,
+# value) with width 2 or 4; each flip is (position, XOR mask).
+MUTATIONS = st.tuples(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0),
+            st.sampled_from((2, 4)),
+            st.one_of(st.integers(0, 0xFF), st.integers(0, 2**32 - 1)),
+        ),
+        max_size=4,
+    ),
+    st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), max_size=8),
+)
+
+
+def mutate(blob: bytes, mutation) -> bytes:
+    """Apply one MUTATIONS draw: overwrite little-endian u16/u32 words, then
+    flip bytes. Positions wrap around the blob's length."""
+    words, flips = mutation
+    out = bytearray(blob)
+    for pos, width, value in words:
+        pos %= len(out) - width + 1
+        out[pos : pos + width] = (value % (1 << 8 * width)).to_bytes(width, "little")
+    for pos, mask in flips:
+        out[pos % len(out)] ^= mask
+    return bytes(out)
 
 
 @pytest.fixture

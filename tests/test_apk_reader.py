@@ -1,8 +1,11 @@
 import zipfile
 
 import pytest
+from hypothesis import given
 
+import aidiscover.apk
 from aidiscover.apk import (
+    ApkError,
     CorruptCentralDirectory,
     EntryKind,
     NotAZip,
@@ -10,6 +13,7 @@ from aidiscover.apk import (
     open_apk,
 )
 
+from conftest import MUTATIONS, golden_dex1, golden_elf, mutate
 from helpers import build_apk
 
 
@@ -98,6 +102,25 @@ def test_backslash_entry_name_rejected(tmp_path):
         open_apk(path)
 
 
+def test_refused_entry_name_closes_the_zip(tmp_path, monkeypatch):
+    path = tmp_path / "slash.apk"
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr(zipfile.ZipInfo("evil\\path.txt"), b"x")
+    opened = []
+
+    class SpyZipFile(zipfile.ZipFile):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    # apk.zipfile is the shared zipfile module, so the APK is written first.
+    monkeypatch.setattr(aidiscover.apk.zipfile, "ZipFile", SpyZipFile)
+    with pytest.raises(CorruptCentralDirectory):
+        open_apk(path)
+    assert len(opened) == 1
+    assert opened[0].fp is None
+
+
 def test_absolute_entry_name_rejected(tmp_path):
     path = tmp_path / "abs.apk"
     with zipfile.ZipFile(path, "w") as zf:
@@ -110,3 +133,54 @@ def test_no_dex_is_not_an_error(tmp_path):
     apk = build_apk(tmp_path / "nodex.apk", [("res/values.xml", b"<x/>")])
     with open_apk(apk) as archive:
         assert archive.dex_count == 0
+
+
+def test_missing_apk_is_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        open_apk(tmp_path / "absent.apk")
+
+
+@pytest.fixture(scope="module")
+def fuzz_apk(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    base = build_apk(
+        root / "base.apk",
+        [
+            ("classes.dex", golden_dex1()),
+            ("lib/arm64-v8a/libinfer.so", golden_elf()),
+            ("assets/empty.tflite", b""),
+        ],
+    )
+    return base.read_bytes(), root / "mutant.apk"
+
+
+@given(MUTATIONS)
+def test_mutated_apk_raises_only_apk_errors(fuzz_apk, mutation):
+    base, path = fuzz_apk
+    path.write_bytes(mutate(base, mutation))
+    try:
+        archive = open_apk(path)
+    except ApkError:
+        return
+    with archive:
+        for entry in archive:
+            try:
+                archive.read_bytes(entry)
+            except ApkError:
+                pass
+
+
+@pytest.mark.parametrize("method", [12, 14, 99])  # bzip2, LZMA, unknown
+def test_corrupt_or_unknown_compression_method(tmp_path, method):
+    path = tmp_path / "method.apk"
+    # LZMA properties whose dictionary byte the decoder rejects
+    payload = b"\x09\x04\x05\x00\xff\x00\x00\x01\x00" + b"garbage" * 8
+    with zipfile.ZipFile(path, "w") as zf:
+        zf.writestr("classes.dex", payload)
+    data = bytearray(path.read_bytes())
+    data[8:10] = method.to_bytes(2, "little")  # local header
+    central = data.find(b"PK\x01\x02")
+    data[central + 10 : central + 12] = method.to_bytes(2, "little")
+    path.write_bytes(bytes(data))
+    with open_apk(path) as archive, pytest.raises(CorruptCentralDirectory):
+        archive.read_bytes("classes.dex")

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 
 import pytest
+from hypothesis import given
 
 from aidiscover.apk import open_apk
 from aidiscover.candidates import (
@@ -16,9 +17,9 @@ from aidiscover.candidates import (
     find_urls,
     measure_obfuscation,
 )
-from aidiscover.native import BadElfMagic
+from aidiscover.native import BadElfMagic, ElfScan, scan_elf_strings
 
-from conftest import OPENAI_BASE_URL, OPENAI_CHAT_URL, golden_dex1, golden_elf
+from conftest import MUTATIONS, OPENAI_BASE_URL, OPENAI_CHAT_URL, golden_dex1, golden_elf, mutate
 from helpers import DexBuilder, build_elf32_msb, build_elf64
 
 
@@ -96,6 +97,18 @@ def test_native_corrupt_section_skipped():
     blob[0x28:0x30] = (len(blob) * 3).to_bytes(8, "little")
     cands = extract_native_candidates(bytes(blob))
     assert [c.text for c in cands] == ["https://a.example.com/path"]
+
+
+@given(MUTATIONS)
+def test_mutated_elf_scans_without_escaping(mutation):
+    # Past the magic, a corrupt ELF degrades to warnings, never an exception.
+    blob = mutate(golden_elf(), mutation)
+    try:
+        scan = scan_elf_strings(blob)
+    except BadElfMagic:
+        assert blob[:4] != b"\x7fELF"
+        return
+    assert isinstance(scan, ElfScan)
 
 
 @pytest.mark.skipif(shutil.which("cc") is None, reason="no C toolchain")

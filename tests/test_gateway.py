@@ -111,6 +111,30 @@ class TestRenderPrompt:
         assert prompt.count("Output:") == 5
 
 
+class TestSummaryFit:
+    @given(
+        st.lists(st.integers(min_value=0, max_value=3000), max_size=40),
+        st.integers(min_value=64, max_value=20_000),
+    )
+    def test_matches_brute_force_scan(self, lengths, max_context_tokens):
+        items = [f"com.pkg{i} :: " + "x" * n for i, n in enumerate(lengths)]
+        sampling = SamplingConfig(max_context_tokens=max_context_tokens)
+        gateway = make_gateway(sampling=sampling)
+        template = gateway.templates[TaskId.SUMMARIZE]
+
+        def fits(n):
+            try:
+                render_prompt(BatchRequest(template, tuple(items[:n]), batch_size=n), sampling)
+            except ContextOverflow:
+                return False
+            return True
+
+        fitting = [n for n in range(1, len(items) + 1) if fits(n)]
+        # the fitting prefix lengths are exactly 1..k, so a search is sound
+        assert fitting == list(range(1, len(fitting) + 1))
+        assert gateway.summary_fit(items) == len(fitting)
+
+
 class TestParseAligned:
     def test_out_of_order_indexes_are_realigned(self):
         raw = json.dumps(

@@ -1,9 +1,14 @@
 import json
+import math
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import aidiscover.gateway
+from aidiscover.backends import MockBackend
 from aidiscover.candidates import Candidate, CandidateKind
+from aidiscover.gateway import ContextOverflow, GatewayError, SamplingConfig
 from aidiscover.kb import VERDICT_AI, KbKey, KnowledgeBase
 from aidiscover.pipeline import ComponentVerdict, PipelineResult, write_back
 from aidiscover.taxonomy import (
@@ -12,7 +17,10 @@ from aidiscover.taxonomy import (
     AppAggregate,
     DomainLabel,
     EmptyLabels,
+    AiServiceReport,
     TaxonomyLabel,
+    _component_line,
+    _subsumed_by_package,
     aggregate_stats,
     classify_app,
     classify_components,
@@ -246,6 +254,129 @@ class TestSummarizeApp:
         assert report.summary == SUMMARY_UNAVAILABLE
         assert report.capabilities == ["vision kit"]
         assert report.degraded is True
+
+
+def reference_summarize_app(app_id, ai_verdicts, gateway):
+    """summarize_app as a pop-one loop: after each ContextOverflow, drop the
+    lowest-ranked component and render the whole prompt again. Quadratic, but
+    plainly right; summarize_app must send the same requests and return the
+    same report."""
+    kind_counts = dict(Counter(v.candidate.kind for v in ai_verdicts))
+    if not ai_verdicts:
+        return AiServiceReport(app_id=app_id, summary=NO_AI_SUMMARY, kind_counts=kind_counts)
+    ai_packages = {
+        v.candidate.text for v in ai_verdicts if v.candidate.kind == CandidateKind.PACKAGE
+    }
+    included = [v for v in ai_verdicts if not _subsumed_by_package(v, ai_packages)]
+    included.sort(
+        key=lambda v: (
+            -v.candidate.occurrences,
+            CandidateKind.sort_key(v.candidate.kind),
+            v.candidate.text,
+        )
+    )
+    while included:
+        try:
+            payload = gateway.run_summary([_component_line(v) for v in included])
+        except ContextOverflow:
+            included.pop()
+            continue
+        except GatewayError:
+            return AiServiceReport(
+                app_id=app_id,
+                summary=SUMMARY_UNAVAILABLE,
+                capabilities=[v.analysis for v in included if v.analysis],
+                kind_counts=kind_counts,
+                degraded=True,
+            )
+        return AiServiceReport(
+            app_id=app_id,
+            summary=payload["summary"],
+            capabilities=list(payload["capabilities"]),
+            kind_counts=kind_counts,
+        )
+    return AiServiceReport(
+        app_id=app_id,
+        summary=SUMMARY_UNAVAILABLE,
+        capabilities=[v.analysis for v in ai_verdicts if v.analysis],
+        kind_counts=kind_counts,
+        degraded=True,
+    )
+
+
+class RecordingBackend:
+    """Mock answers, or malformed JSON every time; records each request."""
+
+    model_id = "recording"
+
+    def __init__(self, malformed):
+        self.inner = MockBackend()
+        self.malformed = malformed
+        self.requests = []
+
+    def complete(self, request):
+        self.requests.append(request)
+        return "no json here" if self.malformed else self.inner.complete(request)
+
+
+# "com.ml" is often an AI package, so APIs under it are often subsumed.
+_PACKAGES = ("com.ml", "com.ml.vision", "org.speech", "net.util")
+_verdicts = st.lists(
+    st.builds(
+        lambda api, pkg, name, occurrences, char, size: ai_verdict(
+            f"<{pkg}.{name}: void run()>" if api else pkg,
+            kind=CandidateKind.API if api else CandidateKind.PACKAGE,
+            analysis=char * size,
+            occurrences=occurrences,
+        ),
+        st.booleans(),
+        st.sampled_from(_PACKAGES),
+        st.sampled_from(("Detector", "Tokenizer", "Engine")),
+        st.integers(min_value=1, max_value=5),
+        st.sampled_from("xyz"),
+        st.integers(min_value=0, max_value=3000),
+    ),
+    max_size=40,
+)
+
+
+class TestSummaryTruncation:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _verdicts,
+        st.one_of(
+            st.integers(min_value=64, max_value=8192),
+            st.integers(min_value=64, max_value=200_000),
+        ),
+        st.booleans(),
+    )
+    def test_matches_pop_one_reference(self, verdicts, max_context_tokens, malformed):
+        sampling = SamplingConfig(max_context_tokens=max_context_tokens)
+        sent = []
+        reports = []
+        for summarize in (summarize_app, reference_summarize_app):
+            backend = RecordingBackend(malformed)
+            report = summarize("app", verdicts, make_gateway(backend, sampling=sampling))
+            sent.append([(r.items, r.prompt) for r in backend.requests])
+            reports.append(
+                (report.summary, report.capabilities, report.kind_counts, report.degraded)
+            )
+        assert sent[0] == sent[1]
+        assert reports[0] == reports[1]
+
+    def test_renders_logarithmically_many_prompts(self, monkeypatch):
+        renders = []
+        render = aidiscover.gateway.render_prompt
+
+        def spy(*args, **kwargs):
+            renders.append(1)
+            return render(*args, **kwargs)
+
+        monkeypatch.setattr(aidiscover.gateway, "render_prompt", spy)
+        verdicts = [ai_verdict(f"com.vendor{i:04d}.ml") for i in range(2000)]
+        report = summarize_app("app", verdicts, make_gateway())
+        assert not report.degraded
+        assert len(renders) <= math.ceil(math.log2(2000)) + 2
 
 
 class TestAggregateStats:
