@@ -58,6 +58,10 @@ _ZIP_ERRORS = (
     LZMAError,
 )
 
+# Largest entry body read_bytes inflates: a few hundred KB of deflate stream
+# can inflate to gigabytes.
+MAX_ENTRY_BYTES = 128 * 1024 * 1024
+
 
 def classify_entry(name: str) -> EntryKind:
     """Map an archive-relative entry name onto the released-APK layout.
@@ -100,25 +104,31 @@ class ApkArchive:
         self.entries = entries
         self._zf = zf
 
-    @property
-    def dex_count(self) -> int:
-        return sum(1 for e in self.entries if e.kind is EntryKind.DEX_FILE)
-
     def entries_of_kind(self, kind: EntryKind) -> list[ApkEntry]:
         return [e for e in self.entries if e.kind is kind]
 
     def read_bytes(self, entry: Union[ApkEntry, str]) -> bytes:
-        """Decompress and return one entry body.
+        """Decompress and return one entry body, at most MAX_ENTRY_BYTES long.
 
         Raises:
-            CorruptCentralDirectory: the entry is missing, or its header or
-                compressed body is corrupt or unsupported.
+            CorruptCentralDirectory: the entry is missing, its header or
+                compressed body is corrupt or unsupported, or its declared or
+                inflated size exceeds MAX_ENTRY_BYTES.
         """
         name = entry.name if isinstance(entry, ApkEntry) else entry
         try:
-            return self._zf.read(name)
+            info = self._zf.getinfo(name)
+            if info.file_size > MAX_ENTRY_BYTES:
+                raise CorruptCentralDirectory(
+                    f"entry {name!r} declares {info.file_size} bytes, over the {MAX_ENTRY_BYTES}-byte cap"
+                )
+            with self._zf.open(info) as fh:
+                data = fh.read(MAX_ENTRY_BYTES + 1)
         except (KeyError, *_ZIP_ERRORS) as exc:
             raise CorruptCentralDirectory(f"cannot read entry {name!r}: {exc}") from exc
+        if len(data) > MAX_ENTRY_BYTES:
+            raise CorruptCentralDirectory(f"entry {name!r} inflates past the {MAX_ENTRY_BYTES}-byte cap")
+        return data
 
     def close(self) -> None:
         self._zf.close()

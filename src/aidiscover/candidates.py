@@ -140,15 +140,8 @@ def package_of(class_name: str) -> Optional[str]:
     return head if sep else None
 
 
-def extract_dex_candidates(data: bytes, source: str = "classes.dex") -> list[Candidate]:
-    """Candidates from one .dex file: packages, API signatures, URL strings.
-
-    Raises BadDexMagic / TruncatedDex from the underlying parser.
-    """
-    return candidates_from_symbols(parse_dex(data), source)
-
-
 def candidates_from_symbols(symbols: DexSymbols, source: str) -> list[Candidate]:
+    """Candidates from one parsed .dex file: packages, API signatures, URL strings."""
     packages = filter(None, map(package_of, symbols.class_names))
     apis = map(ApiSignature.render, symbols.methods)
     return (

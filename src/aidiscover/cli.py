@@ -111,6 +111,13 @@ def make_gateway(args: argparse.Namespace, file_cfg: dict, cfg: PipelineConfig) 
     )
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _load_whitelist_or_warn(path: Optional[Path]) -> Whitelist:
     try:
         return load_whitelist(path)
@@ -165,11 +172,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return entry
 
     try:
-        if jobs > 1 and len(args.apks) > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                entries = list(pool.map(one, args.apks))
-        else:
-            entries = [one(p) for p in args.apks]
+        with ThreadPoolExecutor(jobs) as pool:
+            entries = list(pool.map(one, args.apks))
     finally:
         kb.close()
         cache.close()
@@ -410,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--kb", help="knowledge base log path")
     p_analyze.add_argument("--whitelist", help="non-AI prefix whitelist file")
     p_analyze.add_argument("--model-suffixes", help="model asset suffix list file")
-    p_analyze.add_argument("--jobs", type=int, help="parallel apps (default: CPU count)")
+    p_analyze.add_argument(
+        "--jobs", type=_positive_int, help="apps analyzed at once, at least 1 (default: CPU count)"
+    )
     p_analyze.add_argument(
         "--deterministic",
         action="store_true",

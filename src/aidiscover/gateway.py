@@ -1,10 +1,11 @@
 """Uniform access to a completion backend.
 
 Handles prompt rendering with few-shot examples, fixed-size batching,
-concurrent dispatch of a call's batches, structured-output parsing with index
-alignment, context budgeting, and the retry ladder: whole-batch retries, then
-singleton fallback, then per-item failure. A monotone request counter is kept
-for cache and ordering tests.
+structured-output parsing with index alignment, context budgeting, and the
+retry ladder: whole-request resends, then singleton fallback, then per-item
+failure. Every backend request runs on one pool of worker threads owned by
+the gateway, whose size bounds the requests in flight. Per-task request
+counters are kept for cache and ordering tests.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import logging
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence, TypeVar
 
@@ -271,11 +272,13 @@ def parse_summary(raw: str) -> dict:
 class LlmGateway:
     """Batching, retrying front door to one completion backend.
 
-    At most ``max_in_flight`` requests run concurrently, counted across every
-    thread that shares the gateway. ``run_items`` sends the batches of one
-    call on up to ``max_in_flight`` worker threads, so an app's batches
-    overlap. The request counter and per-task counters are safe to read from
-    tests after a run.
+    Every backend request runs on one pool of ``max_in_flight`` worker
+    threads, shared by every thread that uses the gateway, so the pool size
+    is the bound on requests in flight. ``run_items`` puts each batch on the
+    pool with its whole retry ladder, so a call's batches overlap; a
+    ``run_summary`` request and its resends take one worker. Nothing that
+    runs on the pool submits to it. The per-task counters are safe to read
+    from tests after a run.
     """
 
     def __init__(
@@ -296,33 +299,29 @@ class LlmGateway:
         self.templates = templates
         self.sampling = sampling or SamplingConfig()
         self.retry_budget = retry_budget
-        self.max_in_flight = max_in_flight
         self.rate_limit_retries = rate_limit_retries
         self.sleeper = sleeper
-        self.call_count = 0
         self.call_counts: Counter[str] = Counter()
         self._counter_lock = threading.Lock()
-        self._in_flight = threading.BoundedSemaphore(max_in_flight)
+        self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="aidiscover-gateway")
 
     @property
     def model_id(self) -> str:
         return self.backend.model_id
 
-    def reset_counters(self) -> None:
+    @property
+    def call_count(self) -> int:
         with self._counter_lock:
-            self.call_count = 0
-            self.call_counts = Counter()
+            return sum(self.call_counts.values())
 
     def _complete(self, task_id: str, items: tuple[str, ...], prompt: str) -> str:
         request = RenderedRequest(task_id=task_id, items=items, prompt=prompt, sampling=self.sampling)
         delay = 1.0
         for attempt in range(self.rate_limit_retries + 1):
             with self._counter_lock:
-                self.call_count += 1
                 self.call_counts[task_id] += 1
             try:
-                with self._in_flight:
-                    return self.backend.complete(request)
+                return self.backend.complete(request)
             except RateLimited:
                 if attempt == self.rate_limit_retries:
                     raise BackendUnavailable("rate limited past retry budget")
@@ -330,6 +329,19 @@ class LlmGateway:
                 self.sleeper(delay)
                 delay = min(delay * 2, 30.0)
         raise BackendUnavailable("unreachable")  # pragma: no cover
+
+    def _resend(self, task_id: str, items: tuple[str, ...], prompt: str, parse: Callable[[str], T]) -> T:
+        """Send one prompt until ``parse`` accepts the response, at most
+        ``retry_budget`` extra times; raises the last parse failure."""
+        failure: Optional[GatewayError] = None
+        for _ in range(self.retry_budget + 1):
+            raw = self._complete(task_id, items, prompt)
+            try:
+                return parse(raw)
+            except (MalformedJson, MisalignedOutput) as exc:
+                failure = exc
+                log.warning("%s request of %d items failed (%s); retrying", task_id, len(items), exc)
+        raise failure  # type: ignore[misc]
 
     def run_batch(self, req: BatchRequest) -> list[ItemResult]:
         """One aligned result per item, in item order.
@@ -346,49 +358,31 @@ class LlmGateway:
                 log.warning("item does not fit context alone: %s", exc)
                 return [ItemResult(0, None, error=f"ContextOverflow: {exc}")]
             mid = (len(req.items) + 1) // 2
-            left = self.run_batch(BatchRequest(req.template, req.items[:mid], req.batch_size))
-            right = self.run_batch(BatchRequest(req.template, req.items[mid:], req.batch_size))
-            return _stitch(left, right, mid)
+            halves = (req.items[:mid], req.items[mid:])
+            return _renumber([self.run_batch(BatchRequest(req.template, h, req.batch_size)) for h in halves])
 
-        failure: Optional[GatewayError] = None
-        for _ in range(self.retry_budget + 1):
-            raw = self._complete(req.template.task_id, req.items, prompt)
-            try:
-                payloads = parse_aligned(req.template.task_id, raw, len(req.items))
-                return [ItemResult(i, payloads[i]) for i in range(len(req.items))]
-            except (MalformedJson, MisalignedOutput) as exc:
-                failure = exc
-                log.warning("batch of %d failed (%s); retrying", len(req.items), exc)
-
-        if len(req.items) == 1:
-            return [ItemResult(0, None, error=f"{type(failure).__name__}: {failure}")]
-        log.warning("falling back to singleton batches after: %s", failure)
-        results: list[ItemResult] = []
-        for index, item in enumerate(req.items):
-            single = self.run_batch(BatchRequest(req.template, (item,), req.batch_size))[0]
-            results.append(ItemResult(index, single.payload, single.error))
-        return results
+        task_id = req.template.task_id
+        try:
+            payloads = self._resend(
+                task_id, req.items, prompt, lambda raw: parse_aligned(task_id, raw, len(req.items))
+            )
+            return [ItemResult(i, payload) for i, payload in enumerate(payloads)]
+        except (MalformedJson, MisalignedOutput) as failure:
+            if len(req.items) == 1:
+                return [ItemResult(0, None, error=f"{type(failure).__name__}: {failure}")]
+            log.warning("falling back to singleton batches after: %s", failure)
+        singles = [BatchRequest(req.template, (item,), req.batch_size) for item in req.items]
+        return _renumber([self.run_batch(single) for single in singles])
 
     def run_items(self, task_id: str, items: Sequence[str], batch_size: int = 3) -> list[ItemResult]:
         """Chunk items and run every batch; results keep global input order.
 
-        Batches run concurrently, each with its whole retry ladder on the
-        worker that sent it. Once a batch raises, no further batch starts,
-        and the failure of the earliest batch in input order is raised.
+        Batches run on the gateway's pool, each with its whole retry ladder
+        on the worker that sent it. Once a batch raises, no further batch of
+        this call starts, and the failure of the earliest batch in input
+        order is raised.
         """
         template = self.templates[task_id]
-        requests = [BatchRequest(template, tuple(b), batch_size) for b in chunk(list(items), batch_size)]
-        if len(requests) < 2 or self.max_in_flight < 2:
-            batches = [self.run_batch(req) for req in requests]
-        else:
-            batches = self._run_concurrently(requests)
-        out: list[ItemResult] = []
-        for batch in batches:
-            base = len(out)
-            out.extend(ItemResult(base + r.item_index, r.payload, r.error) for r in batch)
-        return out
-
-    def _run_concurrently(self, requests: list[BatchRequest]) -> list[list[ItemResult]]:
         stop = threading.Event()
 
         def send(req: BatchRequest) -> Optional[list[ItemResult]]:
@@ -400,13 +394,12 @@ class LlmGateway:
                 stop.set()
                 raise
 
-        with ThreadPoolExecutor(min(self.max_in_flight, len(requests))) as pool:
-            futures = [pool.submit(send, req) for req in requests]
-        for future in futures:
-            failure = future.exception()
-            if failure is not None:
-                raise failure
-        return [future.result() for future in futures]
+        futures = [
+            self._pool.submit(send, BatchRequest(template, tuple(b), batch_size))
+            for b in chunk(list(items), batch_size)
+        ]
+        wait(futures)
+        return _renumber([future.result() for future in futures])  # raises the earliest failure
 
     def summary_fit(self, items: Sequence[str]) -> int:
         """Length of the longest prefix of ``items`` whose Summarize prompt fits.
@@ -447,18 +440,13 @@ class LlmGateway:
         template = self.templates[TaskId.SUMMARIZE]
         req = BatchRequest(template, tuple(items), batch_size=max(len(items), 1))
         prompt = render_prompt(req, self.sampling)
-        failure: Optional[GatewayError] = None
-        for _ in range(self.retry_budget + 1):
-            raw = self._complete(TaskId.SUMMARIZE, req.items, prompt)
-            try:
-                return parse_summary(raw)
-            except MalformedJson as exc:
-                failure = exc
-                log.warning("summary parse failed (%s); retrying", exc)
-        raise failure  # type: ignore[misc]
+        return self._pool.submit(self._resend, TaskId.SUMMARIZE, req.items, prompt, parse_summary).result()
 
 
-def _stitch(left: list[ItemResult], right: list[ItemResult], mid: int) -> list[ItemResult]:
-    merged = list(left)
-    merged.extend(ItemResult(mid + r.item_index, r.payload, r.error) for r in right)
-    return merged
+def _renumber(batches: list[list[ItemResult]]) -> list[ItemResult]:
+    """Concatenate batch results, offsetting each batch's item indexes."""
+    out: list[ItemResult] = []
+    for batch in batches:
+        base = len(out)
+        out.extend(ItemResult(base + r.item_index, r.payload, r.error) for r in batch)
+    return out

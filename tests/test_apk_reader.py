@@ -48,7 +48,7 @@ def test_classify_entry(name, kind):
 
 def test_open_apk_counts_dex(golden_apk):
     with open_apk(golden_apk) as archive:
-        assert archive.dex_count == 2
+        assert len(archive.entries_of_kind(EntryKind.DEX_FILE)) == 2
         natives = archive.entries_of_kind(EntryKind.NATIVE_LIB)
         assert [e.name for e in natives] == ["lib/arm64-v8a/libinfer.so"]
 
@@ -132,7 +132,7 @@ def test_absolute_entry_name_rejected(tmp_path):
 def test_no_dex_is_not_an_error(tmp_path):
     apk = build_apk(tmp_path / "nodex.apk", [("res/values.xml", b"<x/>")])
     with open_apk(apk) as archive:
-        assert archive.dex_count == 0
+        assert len(archive.entries_of_kind(EntryKind.DEX_FILE)) == 0
 
 
 def test_missing_apk_is_file_not_found(tmp_path):
@@ -184,3 +184,20 @@ def test_corrupt_or_unknown_compression_method(tmp_path, method):
     path.write_bytes(bytes(data))
     with open_apk(path) as archive, pytest.raises(CorruptCentralDirectory):
         archive.read_bytes("classes.dex")
+
+
+@pytest.mark.parametrize("declared", ["honest", "understated"])
+def test_deflate_bomb_is_refused_at_the_cap(tmp_path, monkeypatch, declared):
+    cap = 1 << 20
+    monkeypatch.setattr(aidiscover.apk, "MAX_ENTRY_BYTES", cap)
+    path = build_apk(tmp_path / "bomb.apk", [("classes.dex", bytes(16 * cap)), ("classes2.dex", b"dex\n")])
+    assert path.stat().st_size < 64 * 1024
+    if declared == "understated":  # the central directory claims exactly the cap
+        data = bytearray(path.read_bytes())
+        central = data.find(b"PK\x01\x02")
+        data[central + 24 : central + 28] = cap.to_bytes(4, "little")
+        path.write_bytes(bytes(data))
+    with open_apk(path) as archive:
+        with pytest.raises(CorruptCentralDirectory):
+            archive.read_bytes("classes.dex")
+        assert archive.read_bytes("classes2.dex") == b"dex\n"

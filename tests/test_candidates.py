@@ -10,13 +10,14 @@ from aidiscover.apk import open_apk
 from aidiscover.candidates import (
     Candidate,
     CandidateKind,
+    candidates_from_symbols,
     extract_asset_candidates,
     extract_candidates,
-    extract_dex_candidates,
     extract_native_candidates,
     find_urls,
     measure_obfuscation,
 )
+from aidiscover.dex import parse_dex
 from aidiscover.native import BadElfMagic, ElfScan, scan_elf_strings
 
 from conftest import MUTATIONS, OPENAI_BASE_URL, OPENAI_CHAT_URL, golden_dex1, golden_elf, mutate
@@ -28,7 +29,7 @@ def by_kind(cands, kind):
 
 
 def test_extract_dex_candidates_golden():
-    cands = extract_dex_candidates(golden_dex1(), source="classes.dex")
+    cands = candidates_from_symbols(parse_dex(golden_dex1()), "classes.dex")
     packages = {c.text: c.occurrences for c in by_kind(cands, CandidateKind.PACKAGE)}
     assert packages == {
         "com.example": 1,
@@ -47,7 +48,7 @@ def test_extract_dex_candidates_golden():
 
 def test_default_package_class_yields_no_package_candidate():
     dex = DexBuilder().add_class("Standalone", [("void", "main", [])]).build()
-    cands = extract_dex_candidates(dex)
+    cands = candidates_from_symbols(parse_dex(dex), "classes.dex")
     assert {c.text for c in by_kind(cands, CandidateKind.PACKAGE)} == {"java.lang"}
 
 

@@ -310,6 +310,15 @@ class TestUsage:
             cli.main(["analyze", "--backend", "carrier-pigeon", "x.apk"])
         assert exc.value.code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_refused_before_anything_is_written(self, tmp_path, fixture_corpus, jobs):
+        apks, _, _ = fixture_corpus
+        with pytest.raises(SystemExit) as exc:
+            analyze(tmp_path, [apks[0]], extra=("--jobs", jobs))
+        assert exc.value.code == cli.EXIT_USAGE
+        assert not (tmp_path / "reports").exists()
+        assert not (tmp_path / "reports.kb.jsonl").exists()
+
 
 class TestParallelJobs:
     def test_worker_pool_run_still_evaluates_perfectly(self, tmp_path, fixture_corpus):

@@ -259,8 +259,6 @@ class TestCounters:
         assert gateway.call_counts[TaskId.ANALYZE] == 2
         assert gateway.call_counts[TaskId.DETECT] == 1
         assert gateway.call_count == 3
-        gateway.reset_counters()
-        assert gateway.call_count == 0
 
 
 class TestMockDeterminism:
@@ -319,6 +317,59 @@ class TestInFlightLimit:
             results = [f.result() for f in futures]
         assert backend.peak <= 2
         assert all(r[0].payload is not None for r in results)
+
+
+class PoolRecordingBackend:
+    """Mock answers after 10 ms; records the peak number of requests in
+    flight and the names of the threads that sent them."""
+
+    model_id = "pool-recording"
+
+    def __init__(self):
+        self.inner = MockBackend()
+        self.active = 0
+        self.peak = 0
+        self.thread_names = set()
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+            self.thread_names.add(threading.current_thread().name)
+        try:
+            time.sleep(0.01)
+            return self.inner.complete(request)
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+def run_mixed_calls(gateway, calls: int) -> None:
+    """``calls`` calls from 3 threads, alternating a three-batch run_items
+    with a run_summary."""
+
+    def call(i):
+        if i % 2:
+            assert gateway.run_summary([f"com.mix{i}.vision :: object detection"])["summary"]
+        else:
+            results = gateway.run_items(TaskId.DETECT, [f"com.mix{i}.k{j}" for j in range(9)])
+            assert [r.item_index for r in results] == list(range(9))
+
+    with ThreadPoolExecutor(max_workers=3) as callers:
+        list(callers.map(call, range(calls)))
+
+
+class TestOnePool:
+    def test_every_request_is_sent_from_the_gateway_pool(self):
+        backend = PoolRecordingBackend()
+        run_mixed_calls(make_gateway(backend, max_in_flight=4), 24)
+        assert len(backend.thread_names) <= 4
+
+    def test_summaries_and_batches_share_the_in_flight_bound(self):
+        backend = PoolRecordingBackend()
+        run_mixed_calls(make_gateway(backend, max_in_flight=2), 24)
+        assert backend.peak == 2
 
 
 class TestConcurrentDispatch:
