@@ -30,6 +30,7 @@ URL_RE = re.compile(
 )
 
 _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
+_SIGNATURE_CLASS = re.compile(r"<([^:>]+):")
 
 # Obfuscators rename to one- and two-letter identifiers.
 OBFUSCATED_SEGMENT_LEN = 2
@@ -64,8 +65,20 @@ class ApiSignature:
     @staticmethod
     def class_name_of(rendered: str) -> Optional[str]:
         """Recover the class name from a rendered signature, if well formed."""
-        m = re.match(r"^<([^:>]+):", rendered)
+        m = _SIGNATURE_CLASS.match(rendered)
         return m.group(1).strip() if m else None
+
+
+def dotted_prefixes(name: str) -> list[str]:
+    """``name`` cut before each ``.``, then ``name`` itself: every prefix that ends at a
+    segment boundary, so a segment-aware prefix test is one set lookup per segment."""
+    prefixes = []
+    dot = name.find(".")
+    while dot >= 0:
+        prefixes.append(name[:dot])
+        dot = name.find(".", dot + 1)
+    prefixes.append(name)
+    return prefixes
 
 
 @dataclass
@@ -76,9 +89,6 @@ class Candidate:
     text: str
     source: str
     occurrences: int = 1
-
-    def key(self) -> tuple[str, str]:
-        return (self.kind, self.text)
 
 
 @dataclass
@@ -240,16 +250,17 @@ def measure_obfuscation(class_names: Iterable[str]) -> ObfuscationStats:
 
 def merge_candidates(groups: Iterable[list[Candidate]]) -> list[Candidate]:
     """Union per-entry candidate lists: sum occurrences, keep first source,
-    order by (kind, text)."""
-    merged: dict[tuple[str, str], Candidate] = {}
+    order by kind (``CandidateKind.ALL`` order) and then by text."""
+    by_kind: dict[str, dict[str, Candidate]] = {kind: {} for kind in CandidateKind.ALL}
     for group in groups:
         for cand in group:
-            prior = merged.get(cand.key())
+            merged = by_kind.setdefault(cand.kind, {})
+            prior = merged.get(cand.text)
             if prior is None:
-                merged[cand.key()] = Candidate(cand.kind, cand.text, cand.source, cand.occurrences)
+                merged[cand.text] = Candidate(cand.kind, cand.text, cand.source, cand.occurrences)
             else:
                 prior.occurrences += cand.occurrences
-    return sorted(merged.values(), key=lambda c: (CandidateKind.sort_key(c.kind), c.text))
+    return [merged[text] for merged in by_kind.values() for text in sorted(merged)]
 
 
 def extract_candidates(

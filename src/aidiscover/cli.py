@@ -9,6 +9,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
@@ -26,7 +27,6 @@ from .report import (
     iter_report_paths,
     read_report,
     report_aggregate,
-    report_labels,
     write_report,
 )
 from .taxonomy import (
@@ -53,9 +53,20 @@ class NoLabeledRecords(Exception):
 
 
 def _load_config_file(path: Optional[str]) -> dict:
+    """The JSON config object; its ``sampling`` object may hold numbers only."""
     if not path:
         return {}
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
+    sampling = cfg.get("sampling", {})
+    if not isinstance(sampling, dict):
+        raise ValueError(f"{path}: 'sampling' must be a JSON object")
+    for field in fields(SamplingConfig):
+        value = sampling.get(field.name, field.default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"{path}: sampling.{field.name} must be a number, got {value!r}")
+    return cfg
 
 
 def _setting(args: argparse.Namespace, file_cfg: dict, name: str, default):
@@ -192,6 +203,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK if ok > 0 else EXIT_FAILURE
 
 
+def _label_key(row: dict) -> str:
+    """Evaluate's join key for an app (a row with ``app_id``, or a report) or
+    for a component (a row or verdict with ``kind`` and ``text``)."""
+    if "app_id" in row:
+        return f"app::{row['app_id']}"
+    return f"{row['kind']}::{normalize_text(row['text'])}"
+
+
 def load_label_file(path: Path) -> dict[str, str]:
     """Read a labels JSONL file into key -> AI/NonAI.
 
@@ -212,25 +231,25 @@ def load_label_file(path: Path) -> dict[str, str]:
             label = payload.get("label")
             if label not in ("AI", "NonAI"):
                 raise ValueError(f"{path}:{lineno}: label must be AI or NonAI")
-            if "app_id" in payload:
-                labels[f"app::{payload['app_id']}"] = label
-            elif isinstance(payload.get("kind"), str) and isinstance(payload.get("text"), str):
-                labels[f"{payload['kind']}::{normalize_text(payload['text'])}"] = label
-            else:
+            if "app_id" not in payload and not (
+                isinstance(payload.get("kind"), str) and isinstance(payload.get("text"), str)
+            ):
                 raise ValueError(f"{path}:{lineno}: row needs an app_id, or kind and text strings")
+            labels[_label_key(payload)] = label
     return labels
 
 
 def load_predictions(path: Path) -> dict[str, str]:
     """Predictions from either a report directory or a labels JSONL file."""
-    if path.is_dir():
-        labels: dict[str, str] = {}
-        for report_path in iter_report_paths(path):
-            component_labels, app_labels = report_labels(read_report(report_path))
-            labels.update(component_labels)
-            labels.update(app_labels)
-        return labels
-    return load_label_file(path)
+    if not path.is_dir():
+        return load_label_file(path)
+    labels: dict[str, str] = {}
+    for report_path in iter_report_paths(path):
+        report = read_report(report_path)
+        for row in report["verdicts"]:
+            labels[_label_key(row)] = "AI" if row["is_ai"] else "NonAI"
+        labels[_label_key(report)] = "AI" if report["is_ai_app"] else "NonAI"
+    return labels
 
 
 def run_evaluate(predictions_path: Path, truth_path: Path) -> dict:

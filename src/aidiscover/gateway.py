@@ -258,15 +258,19 @@ def parse_aligned(task_id: str, raw: str, item_count: int) -> list[dict]:
     return [by_index[i] for i in range(item_count)]
 
 
-def parse_summary(raw: str) -> dict:
-    """Parse the single-object summary response."""
-    data = _extract_json(raw, "{", "}")
+def summary_payload(data) -> dict:
+    """``{"summary": str, "capabilities": [str]}`` from a decoded object, or MalformedJson."""
     if not isinstance(data, dict) or not isinstance(data.get("summary"), str):
         raise MalformedJson("summary response must be an object with a 'summary' string")
     capabilities = data.get("capabilities", [])
     if not isinstance(capabilities, list) or not all(isinstance(c, str) for c in capabilities):
         raise MalformedJson("'capabilities' must be a list of strings")
     return {"summary": data["summary"], "capabilities": capabilities}
+
+
+def parse_summary(raw: str) -> dict:
+    """Parse the single-object summary response."""
+    return summary_payload(_extract_json(raw, "{", "}"))
 
 
 class LlmGateway:

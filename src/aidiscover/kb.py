@@ -17,6 +17,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import BinaryIO, Callable, Optional, Union
 
+from .gateway import MalformedJson, summary_payload
+
 log = logging.getLogger(__name__)
 
 VERDICT_AI = "AI"
@@ -207,7 +209,12 @@ def kb_sync(path: Union[str, Path, None], clock: Callable[[], datetime] = utc_no
 
 def _summary_entry(line: str) -> tuple[str, dict]:
     payload = json.loads(line)
-    return payload["digest"], payload["value"]
+    if not isinstance(payload["digest"], str):
+        raise ValueError("digest must be a string")
+    try:
+        return payload["digest"], summary_payload(payload["value"])
+    except MalformedJson as exc:
+        raise ValueError(str(exc)) from exc
 
 
 class SummaryCache(JsonlLog):

@@ -1,5 +1,10 @@
-"""Per-candidate verdict pipeline: KB consult, LLM analysis and detection in
-either order, conservative failure handling, and KB write-back."""
+"""Per-candidate verdict pipeline: KB consult, LLM analysis and detection,
+conservative failure handling, and KB write-back.
+
+Candidates the KB cannot answer take one path in either order. The order
+decides only when Analyze runs: on every fresh candidate before Detect
+(``atd``), or after Detect on the positives alone (``dta``).
+"""
 
 from __future__ import annotations
 
@@ -80,10 +85,9 @@ class PipelineResult:
     warnings: list[str] = field(default_factory=list)
 
 
-def _detect_item(candidate: Candidate, analysis: Optional[str]) -> str:
-    if analysis:
-        return f"{candidate.text} :: {analysis}"
-    return candidate.text
+def component_line(text: str, analysis: Optional[str]) -> str:
+    """One component as the Detect, Summarize and Classify prompts show it."""
+    return f"{text} :: {analysis}" if analysis else text
 
 
 def _detection_of(result: ItemResult) -> tuple[bool, str]:
@@ -112,13 +116,16 @@ def run_pipeline(
     conservatively and the run is flagged degraded, while KB-resolved
     verdicts are still returned.
     """
-    verdicts: dict[int, ComponentVerdict] = {}
-    fresh: list[tuple[int, Candidate]] = []
-
-    for position, candidate in enumerate(cand_set.candidates):
+    verdicts: list[ComponentVerdict] = []
+    fresh: list[ComponentVerdict] = []
+    for candidate in cand_set.candidates:
         record = kb.lookup(KbKey.make(candidate.kind, candidate.text))
-        if record is not None:
-            verdicts[position] = ComponentVerdict(
+        if record is None:
+            # The conservative verdict stands until this run's Detect call returns.
+            fresh.append(ComponentVerdict(candidate, is_ai=False, rationale=FAILURE_RATIONALE))
+            verdicts.append(fresh[-1])
+        else:
+            verdicts.append(ComponentVerdict(
                 candidate=candidate,
                 is_ai=record.verdict == VERDICT_AI,
                 analysis=record.analysis,
@@ -126,87 +133,38 @@ def run_pipeline(
                 provenance=PROVENANCE_KB,
                 domain=record.domain,
                 task=record.task,
-            )
-        else:
-            fresh.append((position, candidate))
+            ))
 
     warnings: list[str] = []
     degraded = False
     try:
         if fresh:
-            if cfg.order is PipelineOrder.ANALYSIS_THEN_DETECTION:
-                _run_analysis_first(fresh, cfg, gateway, verdicts)
-            else:
-                _run_detection_first(fresh, cfg, gateway, verdicts)
+            _run_fresh(fresh, cfg, gateway)
     except BackendUnavailable as exc:
         degraded = True
         warnings.append(f"backend unavailable mid-run: {exc}")
-        for position, candidate in fresh:
-            if position not in verdicts:
-                verdicts[position] = ComponentVerdict(
-                    candidate=candidate,
-                    is_ai=False,
-                    analysis=None,
-                    rationale=FAILURE_RATIONALE,
-                    provenance=PROVENANCE_FRESH,
-                )
-
-    ordered = [verdicts[i] for i in range(len(cand_set.candidates))]
-    return PipelineResult(verdicts=ordered, degraded=degraded, warnings=warnings)
+    return PipelineResult(verdicts=verdicts, degraded=degraded, warnings=warnings)
 
 
-def _run_analysis_first(
-    fresh: list[tuple[int, Candidate]],
-    cfg: PipelineConfig,
-    gateway: LlmGateway,
-    verdicts: dict[int, ComponentVerdict],
-) -> None:
-    candidates = [c for _, c in fresh]
-    analyses = [
-        _analysis_of(r)
-        for r in gateway.run_items(TaskId.ANALYZE, [c.text for c in candidates], cfg.batch_size)
-    ]
-    detect_items = [_detect_item(c, a) for c, a in zip(candidates, analyses)]
-    detections = gateway.run_items(TaskId.DETECT, detect_items, cfg.batch_size)
-    for (position, candidate), analysis, detection in zip(fresh, analyses, detections):
-        is_ai, rationale = _detection_of(detection)
-        verdicts[position] = ComponentVerdict(
-            candidate=candidate,
-            is_ai=is_ai,
-            analysis=analysis,
-            rationale=rationale,
-            provenance=PROVENANCE_FRESH,
-        )
+def _run_fresh(fresh: list[ComponentVerdict], cfg: PipelineConfig, gateway: LlmGateway) -> None:
+    analyze_first = cfg.order is PipelineOrder.ANALYSIS_THEN_DETECTION
+    analyses = _analyses(fresh, cfg, gateway) if analyze_first else [None] * len(fresh)
+    items = [component_line(v.candidate.text, a) for v, a in zip(fresh, analyses)]
+    detections = gateway.run_items(TaskId.DETECT, items, cfg.batch_size)
+    # Set before any later Analyze call, so an outage there keeps them.
+    for verdict, analysis, detection in zip(fresh, analyses, detections):
+        verdict.analysis = analysis
+        verdict.is_ai, verdict.rationale = _detection_of(detection)
+    if not analyze_first:
+        # Positives still get analyzed so every AI verdict carries an analysis.
+        positives = [v for v in fresh if v.is_ai]
+        for verdict, analysis in zip(positives, _analyses(positives, cfg, gateway)):
+            verdict.analysis = analysis
 
 
-def _run_detection_first(
-    fresh: list[tuple[int, Candidate]],
-    cfg: PipelineConfig,
-    gateway: LlmGateway,
-    verdicts: dict[int, ComponentVerdict],
-) -> None:
-    candidates = [c for _, c in fresh]
-    detections = gateway.run_items(TaskId.DETECT, [c.text for c in candidates], cfg.batch_size)
-
-    positives: list[int] = []  # indexes into `fresh`
-    for i, ((position, candidate), detection) in enumerate(zip(fresh, detections)):
-        is_ai, rationale = _detection_of(detection)
-        verdicts[position] = ComponentVerdict(
-            candidate=candidate,
-            is_ai=is_ai,
-            analysis=None,
-            rationale=rationale,
-            provenance=PROVENANCE_FRESH,
-        )
-        if is_ai:
-            positives.append(i)
-
-    # Positives still get analyzed so every AI verdict carries an analysis.
-    if positives:
-        texts = [fresh[i][1].text for i in positives]
-        analyses = gateway.run_items(TaskId.ANALYZE, texts, cfg.batch_size)
-        for i, analysis in zip(positives, analyses):
-            verdicts[fresh[i][0]].analysis = _analysis_of(analysis)
+def _analyses(verdicts: list[ComponentVerdict], cfg: PipelineConfig, gateway: LlmGateway) -> list[str]:
+    texts = [v.candidate.text for v in verdicts]
+    return [_analysis_of(r) for r in gateway.run_items(TaskId.ANALYZE, texts, cfg.batch_size)]
 
 
 def _reliable(verdict: ComponentVerdict) -> bool:

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence, Union
 from .apk import open_apk
 from .candidates import CandidateSet, extract_candidates
 from .gateway import LlmGateway
-from .kb import KnowledgeBase, SummaryCache, normalize_text, utc_now
+from .kb import KnowledgeBase, SummaryCache, utc_now
 from .pipeline import (
     ComponentVerdict,
     PipelineConfig,
@@ -199,16 +199,6 @@ def iter_report_paths(report_dir: Union[str, Path]) -> list[Path]:
     return sorted(
         p for p in Path(report_dir).glob("*.json") if p.name != "manifest.json"
     )
-
-
-def report_labels(report: dict) -> tuple[dict[str, str], dict[str, str]]:
-    """(component key -> label, app key -> label) maps for one report."""
-    component_labels = {
-        f"{v['kind']}::{normalize_text(v['text'])}": ("AI" if v["is_ai"] else "NonAI")
-        for v in report["verdicts"]
-    }
-    app_labels = {f"app::{report['app_id']}": ("AI" if report["is_ai_app"] else "NonAI")}
-    return component_labels, app_labels
 
 
 def report_aggregate(report: dict) -> AppAggregate:

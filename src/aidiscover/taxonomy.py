@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
-from .candidates import ApiSignature, CandidateKind, package_of
+from .candidates import ApiSignature, CandidateKind, dotted_prefixes, package_of
 from .gateway import GatewayError, LlmGateway, TaskId
-from .pipeline import ComponentVerdict
+from .pipeline import ComponentVerdict, component_line
 
 log = logging.getLogger(__name__)
 
@@ -124,11 +124,6 @@ class CorpusStats:
     component_label_count: int = 0
 
 
-def _component_line(verdict: ComponentVerdict) -> str:
-    analysis = verdict.analysis or ""
-    return f"{verdict.candidate.text} :: {analysis}" if analysis else verdict.candidate.text
-
-
 def _subsumed_by_package(verdict: ComponentVerdict, ai_packages: set[str]) -> bool:
     if verdict.candidate.kind != CandidateKind.API:
         return False
@@ -138,7 +133,7 @@ def _subsumed_by_package(verdict: ComponentVerdict, ai_packages: set[str]) -> bo
     pkg = package_of(class_name)
     if not pkg:
         return False
-    return any(pkg == p or pkg.startswith(p + ".") for p in ai_packages)
+    return not ai_packages.isdisjoint(dotted_prefixes(pkg))
 
 
 def summarize_app(
@@ -171,7 +166,7 @@ def summarize_app(
         )
     )
 
-    lines = [_component_line(v) for v in included]
+    lines = [component_line(v.candidate.text, v.analysis) for v in included]
     kept = gateway.summary_fit(lines)
     if kept < len(included):
         log.info(
@@ -228,7 +223,7 @@ def classify_components(
     if not pending:
         return labels
 
-    items = [_component_line(verdicts[i]) for i in pending]
+    items = [component_line(verdicts[i].candidate.text, verdicts[i].analysis) for i in pending]
     try:
         results = gateway.run_items(TaskId.CLASSIFY_TAXONOMY, items, batch_size)
     except GatewayError as exc:

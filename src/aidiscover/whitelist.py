@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
-from .candidates import ApiSignature, Candidate, CandidateKind, CandidateSet
+from .candidates import ApiSignature, Candidate, CandidateKind, CandidateSet, dotted_prefixes
 from .listfile import parse_list, read_list
 
 
@@ -26,8 +26,7 @@ class Whitelist:
     version: str = "0"
 
     def matches(self, dotted: str) -> bool:
-        lowered = dotted.lower()
-        return any(lowered == p or lowered.startswith(p + ".") for p in self.prefixes)
+        return not self.prefixes.isdisjoint(dotted_prefixes(dotted.lower()))
 
     @classmethod
     def empty(cls) -> "Whitelist":

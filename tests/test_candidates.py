@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 import shutil
@@ -16,6 +17,7 @@ from aidiscover.candidates import (
     extract_native_candidates,
     find_urls,
     measure_obfuscation,
+    merge_candidates,
 )
 from aidiscover.dex import parse_dex
 from aidiscover.native import BadElfMagic, ElfScan, scan_elf_strings
@@ -249,6 +251,32 @@ def test_extract_candidates_golden_enumeration(golden_apk):
     assert merged[OPENAI_CHAT_URL] == "lib/arm64-v8a/libinfer.so"
 
 
+def test_merge_candidates_sums_keeps_first_source_and_orders():
+    P, A, H, M = (CandidateKind.PACKAGE, CandidateKind.API,
+                  CandidateKind.HTTPS_REQUEST, CandidateKind.MODEL_ASSET)
+    groups = [
+        [Candidate(A, "<b.C: void m()>", "classes.dex", 2), Candidate(P, "com.z", "classes.dex")],
+        [
+            Candidate(H, "https://x.example/", "lib/x86/libx.so"),
+            Candidate(P, "com.z", "classes2.dex", 3),
+            Candidate(P, "com.a", "classes2.dex"),
+            Candidate(A, "<a.C: void m()>", "classes2.dex"),
+        ],
+        [Candidate(M, "assets/m.tflite", "assets/m.tflite"), Candidate(A, "<b.C: void m()>", "x", 5)],
+    ]
+    before = copy.deepcopy(groups)
+    merged = merge_candidates(groups)
+    assert [(c.kind, c.text, c.source, c.occurrences) for c in merged] == [
+        (P, "com.a", "classes2.dex", 1),
+        (P, "com.z", "classes.dex", 4),
+        (A, "<a.C: void m()>", "classes2.dex", 1),
+        (A, "<b.C: void m()>", "classes.dex", 7),
+        (H, "https://x.example/", "lib/x86/libx.so", 1),
+        (M, "assets/m.tflite", "assets/m.tflite", 1),
+    ]
+    assert groups == before
+
+
 def test_extract_candidates_deterministic(golden_apk):
     with open_apk(golden_apk) as a1:
         first = serialize(extract_candidates(a1, "golden"))
@@ -276,8 +304,8 @@ def test_candidate_texts_are_clean(golden_apk):
     for cand in cand_set.candidates:
         assert cand.text == cand.text.strip() and cand.text
         assert not any(ord(ch) < 0x20 or ord(ch) == 0x7F for ch in cand.text)
-        assert cand.key() not in seen
-        seen.add(cand.key())
+        assert (cand.kind, cand.text) not in seen
+        seen.add((cand.kind, cand.text))
         if cand.kind == CandidateKind.HTTPS_REQUEST:
             parts = urlsplit(cand.text)
             assert parts.scheme in ("http", "https") and parts.netloc

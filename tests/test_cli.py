@@ -122,6 +122,23 @@ class TestAnalyze:
         for path in iter_report_paths(second):
             assert path.read_bytes() == (third / path.name).read_bytes()
 
+    def test_unusable_cached_summary_is_regenerated(self, tmp_path, fixture_corpus):
+        apks, _, _ = fixture_corpus
+        _, cold = analyze(tmp_path, apks, out="cold")
+        summaries = tmp_path / "cold.kb.jsonl.summaries"
+        rows = [json.loads(line) for line in summaries.read_text().splitlines()]
+        summaries.write_text("".join(
+            json.dumps({"digest": r["digest"], "value": {"summary": 7}}) + "\n" for r in rows
+        ))
+        warm = tmp_path / "warm"
+        kb_path = tmp_path / "cold.kb.jsonl"
+        assert run_cli("analyze", "--kb", kb_path, "--out", warm, "--deterministic", *apks) == cli.EXIT_OK
+        manifest = json.loads((warm / "manifest.json").read_text())
+        assert manifest["failed"] == 0
+        assert manifest["backend_calls_by_task"] == {"Summarize": len(rows)}
+        for path in iter_report_paths(cold):
+            assert read_report(warm / path.name)["summary"] == read_report(path)["summary"]
+
     def test_order_flag_round_trips(self, tmp_path, fixture_corpus):
         apks, _, _ = fixture_corpus
         code, out_dir = analyze(tmp_path, [apks[0]], out="dta", extra=["--order", "dta"])
@@ -318,6 +335,28 @@ class TestUsage:
         assert exc.value.code == cli.EXIT_USAGE
         assert not (tmp_path / "reports").exists()
         assert not (tmp_path / "reports.kb.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "curate"])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            [1],
+            {"sampling": 5},
+            {"sampling": {"temperature": "hot"}},
+            {"sampling": {"top_p": True}},
+        ],
+    )
+    def test_malformed_config_is_an_error_naming_the_file(self, tmp_path, capsys, command, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        descriptions = write_jsonl(tmp_path / "descs.jsonl", [])
+        args = {
+            "analyze": ("--out", tmp_path / "out", tmp_path / "app.apk"),
+            "curate": ("--descriptions", descriptions),
+        }[command]
+        assert run_cli(command, "--config", path, *args) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
 
 
 class TestParallelJobs:

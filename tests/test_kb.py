@@ -214,6 +214,28 @@ def test_summary_cache_skips_corrupt_lines(tmp_path):
     assert reloaded.corrupt_lines == 2
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        {"digest": "digest-1", "value": {"summary": 7}},
+        {"digest": "digest-1", "value": {"summary": "s", "capabilities": "a"}},
+        {"digest": "digest-1", "value": {"summary": "s", "capabilities": [1]}},
+        {"digest": "digest-1", "value": ["s"]},
+        {"digest": ["digest-1"], "value": {"summary": "s", "capabilities": []}},
+    ],
+)
+def test_summary_cache_skips_records_it_cannot_use(tmp_path, line):
+    path = tmp_path / "kb.jsonl.summaries"
+    first = SummaryCache(path)
+    first.put("digest-1", {"summary": "s", "capabilities": ["a"]})
+    first.close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line) + "\n")
+    reloaded = SummaryCache(path)
+    assert reloaded.get("digest-1") == {"summary": "s", "capabilities": ["a"]}
+    assert reloaded.corrupt_lines == 1
+
+
 def test_append_after_torn_tail_starts_fresh_line(tmp_path):
     path = tmp_path / "kb.jsonl"
     path.write_text(ai_record(text="com.a").to_line() + "\n" + '{"kind": "Package", "te')

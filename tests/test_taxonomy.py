@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from collections import Counter
 
 import pytest
@@ -19,8 +20,6 @@ from aidiscover.taxonomy import (
     EmptyLabels,
     AiServiceReport,
     TaxonomyLabel,
-    _component_line,
-    _subsumed_by_package,
     aggregate_stats,
     classify_app,
     classify_components,
@@ -221,6 +220,17 @@ class TestSummarizeApp:
         assert sum(report.kind_counts.values()) == 41
         assert report.kind_counts == {CandidateKind.PACKAGE: 1, CandidateKind.API: 40}
 
+    def test_api_under_a_longer_sibling_package_is_kept(self):
+        backend = ScriptedBackend([json.dumps({"summary": "s", "capabilities": []})])
+        verdicts = [
+            ai_verdict("com.a"),
+            ai_verdict("<com.ab.C: void m()>", kind=CandidateKind.API),
+            ai_verdict("<com.a.C: void m()>", kind=CandidateKind.API),
+        ]
+        summarize_app("app", verdicts, make_gateway(backend))
+        texts = sorted(item.split(" :: ")[0] for item in backend.requests[0].items)
+        assert texts == ["<com.ab.C: void m()>", "com.a"]
+
     def test_api_without_ai_parent_is_kept(self):
         backend = ScriptedBackend([json.dumps({"summary": "s", "capabilities": []})])
         gateway = make_gateway(backend)
@@ -256,6 +266,20 @@ class TestSummarizeApp:
         assert report.degraded is True
 
 
+def reference_component_line(verdict):
+    analysis = verdict.analysis or ""
+    return f"{verdict.candidate.text} :: {analysis}" if analysis else verdict.candidate.text
+
+
+def reference_subsumed_by_package(verdict, ai_packages):
+    """Reference rule: is the API's package an AI package or inside one, by prefix scan?"""
+    if verdict.candidate.kind != CandidateKind.API:
+        return False
+    match = re.match(r"^<([^:>]+):", verdict.candidate.text)
+    pkg = match.group(1).strip().rpartition(".")[0] if match else ""
+    return bool(pkg) and any(pkg == p or pkg.startswith(p + ".") for p in ai_packages)
+
+
 def reference_summarize_app(app_id, ai_verdicts, gateway):
     """summarize_app as a pop-one loop: after each ContextOverflow, drop the
     lowest-ranked component and render the whole prompt again. Quadratic, but
@@ -267,7 +291,7 @@ def reference_summarize_app(app_id, ai_verdicts, gateway):
     ai_packages = {
         v.candidate.text for v in ai_verdicts if v.candidate.kind == CandidateKind.PACKAGE
     }
-    included = [v for v in ai_verdicts if not _subsumed_by_package(v, ai_packages)]
+    included = [v for v in ai_verdicts if not reference_subsumed_by_package(v, ai_packages)]
     included.sort(
         key=lambda v: (
             -v.candidate.occurrences,
@@ -277,7 +301,7 @@ def reference_summarize_app(app_id, ai_verdicts, gateway):
     )
     while included:
         try:
-            payload = gateway.run_summary([_component_line(v) for v in included])
+            payload = gateway.run_summary([reference_component_line(v) for v in included])
         except ContextOverflow:
             included.pop()
             continue
@@ -319,8 +343,9 @@ class RecordingBackend:
         return "no json here" if self.malformed else self.inner.complete(request)
 
 
-# "com.ml" is often an AI package, so APIs under it are often subsumed.
-_PACKAGES = ("com.ml", "com.ml.vision", "org.speech", "net.util")
+# "com.ml" is often an AI package, so APIs under it are often subsumed;
+# "com.mlkit" starts with it but is not inside it.
+_PACKAGES = ("com.ml", "com.ml.vision", "com.mlkit", "org.speech", "net.util")
 _verdicts = st.lists(
     st.builds(
         lambda api, pkg, name, occurrences, char, size: ai_verdict(

@@ -57,6 +57,23 @@ def test_prefix_matching_is_segment_aware():
     assert not wl.matches("javafx.scene")
 
 
+def reference_matches(wl, dotted):
+    """Reference rule: try every prefix in turn."""
+    lowered = dotted.lower()
+    return any(lowered == p or lowered.startswith(p + ".") for p in wl.prefixes)
+
+
+# Short names over a tiny alphabet, so empty segments, leading and trailing
+# dots, upper case and prefixes cut off a dot all come up often.
+_names = st.text(alphabet="aAbB.", max_size=10)
+
+
+@given(_names, st.lists(_names.map(str.lower), max_size=4), st.integers(0, 10))
+def test_matches_agrees_with_prefix_scan(name, prefixes, cut):
+    wl = Whitelist(prefixes=frozenset(prefixes + [name.lower()[:cut]]))
+    assert wl.matches(name) == reference_matches(wl, name)
+
+
 def test_apply_whitelist_drops_and_keeps():
     wl = parse_whitelist("java.\nandroid.\n")
     cands = make_set(
