@@ -19,9 +19,9 @@ from .candidates import load_model_suffixes
 from .curation import curate, load_descriptions, load_keywords
 from .gateway import LlmGateway, SamplingConfig
 from .kb import VERDICT_AI, KnowledgeBase, SummaryCache, kb_sync, normalize_text, utc_now
-from .metrics import EmptyIntersection, cohen_kappa, confusion
+from .metrics import cohen_kappa, confusion
 from .pipeline import PipelineConfig, PipelineOrder
-from .prompts import load_templates
+from .prompts import AUDIENCES, load_templates
 from .report import (
     analyze_app,
     iter_report_paths,
@@ -29,14 +29,7 @@ from .report import (
     report_aggregate,
     write_report,
 )
-from .taxonomy import (
-    AppAggregate,
-    CorpusStats,
-    TaxonomyLabel,
-    aggregate_stats,
-    normalize_task,
-    parse_domain,
-)
+from .taxonomy import AppAggregate, CorpusStats, aggregate_stats, label_of
 from .whitelist import EmptyWhitelist, Whitelist, load_whitelist
 
 log = logging.getLogger(__name__)
@@ -48,68 +41,98 @@ EXIT_USAGE = 2
 FIXED_CLOCK_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
-class NoLabeledRecords(Exception):
+class NoLabeledRecords(ValueError):
     """The stats input carries no AI-labeled records at all."""
 
 
+BACKENDS = ("mock", "live")
+ORDERS = tuple(o.value for o in PipelineOrder)
+
+# Config-file keys besides ``sampling`` and the choice keys below, and the JSON
+# type each one takes.
+_INTEGER = (int, "an integer")
+_NUMBER = ((int, float), "a number")
+_STRING = (str, "a string")
+_CONFIG_TYPES = {
+    "batch_size": _INTEGER,
+    "few_shot_k": _INTEGER,
+    "max_in_flight": _INTEGER,
+    "retry_budget": _INTEGER,
+    "kb": _STRING,
+    "whitelist": _STRING,
+    "model": _STRING,
+    "endpoint": _STRING,
+}
+# The config keys that take one of a closed set of strings, and that set.
+_CONFIG_CHOICES = {
+    "order": ORDERS,
+    "audience": AUDIENCES,
+    "backend": BACKENDS,
+}
+
+
 def _load_config_file(path: Optional[str]) -> dict:
-    """The JSON config object; its ``sampling`` object may hold numbers only."""
+    """The JSON config object, every known key of it checked; null is unset."""
     if not path:
         return {}
     cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
-    sampling = cfg.get("sampling", {})
-    if not isinstance(sampling, dict):
+    if cfg.get("sampling") is None:
+        cfg["sampling"] = {}
+    if not isinstance(cfg["sampling"], dict):
         raise ValueError(f"{path}: 'sampling' must be a JSON object")
-    for field in fields(SamplingConfig):
-        value = sampling.get(field.name, field.default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(f"{path}: sampling.{field.name} must be a number, got {value!r}")
+    checks = [(name, cfg.get(name), kind) for name, kind in _CONFIG_TYPES.items()]
+    checks += [
+        (f"sampling.{f.name}", cfg["sampling"].get(f.name), _NUMBER) for f in fields(SamplingConfig)
+    ]
+    for name, value, (types, noun) in checks:
+        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ValueError(f"{path}: {name} must be {noun}, got {json.dumps(value)}")
+    for name, choices in _CONFIG_CHOICES.items():
+        if cfg.get(name) is not None and cfg[name] not in choices:
+            allowed = ", ".join(choices)
+            raise ValueError(f"{path}: {name} must be one of {allowed}, got {json.dumps(cfg[name])}")
     return cfg
 
 
-def _setting(args: argparse.Namespace, file_cfg: dict, name: str, default):
-    """CLI flag beats config file beats default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if name in file_cfg:
-        return file_cfg[name]
-    return default
+def _setting(args: argparse.Namespace, file_cfg: dict, name: str, default=None):
+    """A flag beats the config file beats the default."""
+    value = getattr(args, name, None)
+    if value is None:
+        value = file_cfg.get(name)
+    return default if value is None else value
+
+
+def _set_only(**kwargs) -> dict:
+    """The keyword arguments that are set, so the callee's defaults fill the rest."""
+    return {name: value for name, value in kwargs.items() if value is not None}
 
 
 def build_pipeline_config(args: argparse.Namespace, file_cfg: dict) -> PipelineConfig:
-    sampling_cfg = file_cfg.get("sampling", {})
-    sampling = SamplingConfig(
-        temperature=sampling_cfg.get("temperature", 0.2),
-        top_p=sampling_cfg.get("top_p", 0.95),
-        max_context_tokens=sampling_cfg.get("max_context_tokens", 4096),
-    )
-    order = PipelineOrder.parse(str(_setting(args, file_cfg, "order", "atd")))
-    kb = _setting(args, file_cfg, "kb", None)
-    whitelist = _setting(args, file_cfg, "whitelist", None)
-    return PipelineConfig(
-        order=order,
-        batch_size=int(_setting(args, file_cfg, "batch_size", 3)),
-        sampling=sampling,
-        few_shot_k=int(file_cfg.get("few_shot_k", 5)),
-        audience=str(_setting(args, file_cfg, "audience", "user")),
+    sampling = file_cfg.get("sampling", {})
+    sampling = {f.name: sampling.get(f.name) for f in fields(SamplingConfig)}
+    order, kb, whitelist = (_setting(args, file_cfg, name) for name in ("order", "kb", "whitelist"))
+    return PipelineConfig(**_set_only(
+        order=PipelineOrder(order) if order is not None else None,
+        batch_size=_setting(args, file_cfg, "batch_size"),
+        sampling=SamplingConfig(**_set_only(**sampling)),
+        few_shot_k=file_cfg.get("few_shot_k"),
+        audience=_setting(args, file_cfg, "audience"),
         whitelist_path=Path(whitelist) if whitelist else None,
         kb_path=Path(kb) if kb else None,
-        max_in_flight=int(file_cfg.get("max_in_flight", 4)),
-        retry_budget=int(file_cfg.get("retry_budget", 2)),
-    )
+        max_in_flight=file_cfg.get("max_in_flight"),
+        retry_budget=file_cfg.get("retry_budget"),
+    ))
 
 
 def make_gateway(args: argparse.Namespace, file_cfg: dict, cfg: PipelineConfig) -> LlmGateway:
-    backend_name = str(_setting(args, file_cfg, "backend", "mock"))
+    backend_name = _setting(args, file_cfg, "backend", "mock")
     if backend_name == "mock":
         backend = MockBackend()
     elif backend_name == "live":
-        model = str(_setting(args, file_cfg, "model", "gpt-3.5-turbo"))
-        endpoint = file_cfg.get("endpoint", "https://api.openai.com/v1/chat/completions")
-        backend = LiveBackend(model=model, endpoint=endpoint)
+        model = _setting(args, file_cfg, "model", "gpt-3.5-turbo")
+        backend = LiveBackend(model, **_set_only(endpoint=file_cfg.get("endpoint")))
     else:
         raise ValueError(f"unknown backend {backend_name!r}")
     templates = load_templates(few_shot_k=cfg.few_shot_k, audience=cfg.audience)
@@ -152,7 +175,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     cfg = build_pipeline_config(args, file_cfg)
     gateway = make_gateway(args, file_cfg, cfg)
     whitelist = _load_whitelist_or_warn(cfg.whitelist_path)
-    suffixes = load_model_suffixes(args.model_suffixes) if args.model_suffixes else None
+    suffixes = load_model_suffixes(args.model_suffixes)
 
     clock = (lambda: FIXED_CLOCK_EPOCH) if args.deterministic else utc_now
     kb = kb_sync(cfg.kb_path, clock)
@@ -273,11 +296,7 @@ def run_evaluate(predictions_path: Path, truth_path: Path) -> dict:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    try:
-        result = run_evaluate(Path(args.predictions), Path(args.truth))
-    except EmptyIntersection as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    result = run_evaluate(Path(args.predictions), Path(args.truth))
     if args.json:
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
@@ -305,11 +324,7 @@ def stats_from_kb(kb: KnowledgeBase) -> CorpusStats:
     ai_records = [r for r in kb.records.values() if r.verdict == VERDICT_AI]
     if not ai_records:
         raise NoLabeledRecords("knowledge base holds no AI records")
-    labels = [
-        TaxonomyLabel(parse_domain(r.domain), normalize_task(r.task))
-        for r in ai_records
-        if r.domain and r.task
-    ]
+    labels = [label_of(r.domain, r.task) for r in ai_records if r.domain and r.task]
     kind_counts: dict[str, int] = {}
     for record in ai_records:
         kind_counts[record.key.kind] = kind_counts.get(record.key.kind, 0) + 1
@@ -330,12 +345,9 @@ def stats_from_reports(report_dir: Path) -> CorpusStats:
 def stats_document(stats: CorpusStats) -> dict:
     return {
         "kind_totals": stats.kind_totals,
-        "component_domain_dist": {d.value: f for d, f in sorted(stats.component_domain_dist.items(), key=lambda kv: kv[0].value)},
-        "component_task_dist": {
-            f"{d.value}/{task}": f
-            for (d, task), f in sorted(stats.component_task_dist.items(), key=lambda kv: (kv[0][0].value, kv[0][1]))
-        },
-        "app_domain_counts": {d.value: c for d, c in sorted(stats.app_domain_counts.items(), key=lambda kv: kv[0].value)},
+        "component_domain_dist": {d.value: f for d, f in stats.component_domain_dist.items()},
+        "component_task_dist": {f"{d.value}/{task}": f for (d, task), f in stats.component_task_dist.items()},
+        "app_domain_counts": {d.value: c for d, c in stats.app_domain_counts.items()},
         "component_label_count": stats.component_label_count,
     }
 
@@ -360,14 +372,10 @@ def render_stats_text(stats: CorpusStats) -> str:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    try:
-        if args.kb:
-            stats = stats_from_kb(kb_sync(Path(args.kb)))
-        else:
-            stats = stats_from_reports(Path(args.reports))
-    except NoLabeledRecords as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    if args.kb:
+        stats = stats_from_kb(kb_sync(Path(args.kb)))
+    else:
+        stats = stats_from_reports(Path(args.reports))
     if args.json:
         print(json.dumps(stats_document(stats), indent=2, sort_keys=True))
     else:
@@ -421,11 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--backend", choices=["mock", "live"], help="completion backend")
+    common.add_argument("--backend", choices=BACKENDS, help="completion backend")
     common.add_argument("--model", help="model name for the live backend")
     common.add_argument("--batch-size", type=int, dest="batch_size", help="items per request")
-    common.add_argument("--order", choices=["atd", "dta"], help="analysis/detection order")
-    common.add_argument("--audience", choices=["user", "developer", "regulator"])
+    common.add_argument("--order", choices=ORDERS, help="analysis/detection order")
+    common.add_argument("--audience", choices=AUDIENCES)
 
     p_analyze = sub.add_parser("analyze", parents=[common], help="analyze APK files end to end")
     p_analyze.add_argument("apks", nargs="+", metavar="APK")
@@ -475,7 +483,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # NoLabeledRecords and EmptyIntersection included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

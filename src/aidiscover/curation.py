@@ -65,15 +65,21 @@ def load_descriptions(path: Union[str, Path]) -> list[AppDescription]:
                 continue
             try:
                 payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    raise ValueError("not a JSON object")
+                name, text = payload.get("package_name"), payload.get("text", "")
                 released = payload.get("release_date")
+                if not (isinstance(name, str) and isinstance(text, str)
+                        and isinstance(released, (str, type(None)))):
+                    raise ValueError("package_name, text and release_date must be strings")
                 out.append(
                     AppDescription(
-                        package_name=payload["package_name"],
-                        text=payload.get("text", ""),
+                        package_name=name,
+                        text=text,
                         release_date=date.fromisoformat(released) if released else None,
                     )
                 )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except ValueError as exc:
                 log.warning("%s:%d: skipping bad description record (%s)", path, lineno, exc)
     return out
 

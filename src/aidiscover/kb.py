@@ -84,6 +84,12 @@ class KbRecord:
     @classmethod
     def from_line(cls, line: str) -> "KbRecord":
         payload = json.loads(line)
+        for name in ("kind", "text", "verdict", "created_at"):
+            if not isinstance(payload[name], str):
+                raise ValueError(f"{name} must be a string")
+        for name in ("analysis", "domain", "task", "model_id"):
+            if not isinstance(payload.get(name), (str, type(None))):
+                raise ValueError(f"{name} must be a string or null")
         record = cls(
             key=KbKey(kind=payload["kind"], normalized_text=payload["text"]),
             verdict=payload["verdict"],

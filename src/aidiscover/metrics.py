@@ -18,7 +18,7 @@ class EmptyInput(Exception):
     """An operation that needs at least one label got none."""
 
 
-class EmptyIntersection(Exception):
+class EmptyIntersection(ValueError):
     """Prediction and truth files share no keys."""
 
 

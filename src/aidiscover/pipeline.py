@@ -31,13 +31,6 @@ class PipelineOrder(Enum):
     ANALYSIS_THEN_DETECTION = "atd"
     DETECTION_THEN_ANALYSIS = "dta"
 
-    @classmethod
-    def parse(cls, value: str) -> "PipelineOrder":
-        for member in cls:
-            if value in (member.value, member.name.lower()):
-                return member
-        raise ValueError(f"unknown pipeline order {value!r}")
-
 
 @dataclass
 class PipelineConfig:
@@ -181,32 +174,27 @@ def write_back(run: PipelineResult, kb: KnowledgeBase, model_id: str) -> None:
     """Persist what this run learned: the only place that writes the KB.
 
     Call once per app, after taxonomy labeling, so each record carries its
-    labels. A fresh verdict is written only when it is reliable and the run
-    was not degraded; a KB hit is rewritten only when this run filled in the
-    labels its record lacked. A verdict whose labeling failed has no labels,
-    so its record carries none and the next run asks again.
+    labels. Only a reliable verdict is written: a fresh one when the run was
+    not degraded, a KB hit when this run filled in the labels its record
+    lacked. A verdict whose labeling failed has no labels, so its record
+    carries none and the next run asks again.
     """
     for verdict in run.verdicts:
         if verdict.provenance == PROVENANCE_FRESH:
-            if run.degraded or not _reliable(verdict):
+            if run.degraded:
                 continue
         elif not (verdict.domain and verdict.task) or _labeled_in_kb(verdict, kb):
             continue
-        if verdict.is_ai:
-            record = KbRecord(
+        if _reliable(verdict):
+            kb.insert(KbRecord(
                 key=verdict.kb_key(),
-                verdict=VERDICT_AI,
-                analysis=verdict.analysis,
+                verdict=VERDICT_AI if verdict.is_ai else VERDICT_NON_AI,
+                # A failed analysis is this run's marker, not knowledge.
+                analysis=None if verdict.analysis == FAILURE_ANALYSIS else verdict.analysis,
                 domain=verdict.domain,
                 task=verdict.task,
                 model_id=model_id,
-            )
-        else:
-            analysis = verdict.analysis if verdict.analysis != FAILURE_ANALYSIS else None
-            record = KbRecord(
-                key=verdict.kb_key(), verdict=VERDICT_NON_AI, analysis=analysis, model_id=model_id
-            )
-        kb.insert(record)
+            ))
 
 
 def _labeled_in_kb(verdict: ComponentVerdict, kb: KnowledgeBase) -> bool:

@@ -26,10 +26,9 @@ from .taxonomy import (
     UNCLASSIFIED,
     AiServiceReport,
     AppAggregate,
-    TaxonomyLabel,
     classify_app,
     classify_components,
-    parse_domain,
+    label_of,
     summarize_app,
 )
 from .whitelist import Whitelist, apply_whitelist
@@ -192,7 +191,14 @@ def write_report(report: dict, out_dir: Union[str, Path]) -> Path:
 
 
 def read_report(path: Union[str, Path]) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    report = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not (
+        isinstance(report, dict)
+        and isinstance(report.get("app_id"), str)
+        and isinstance(report.get("verdicts"), list)
+    ):
+        raise ValueError(f"{path}: not a report (needs an app_id string and a verdicts list)")
+    return report
 
 
 def iter_report_paths(report_dir: Union[str, Path]) -> list[Path]:
@@ -203,19 +209,10 @@ def iter_report_paths(report_dir: Union[str, Path]) -> list[Path]:
 
 def report_aggregate(report: dict) -> AppAggregate:
     """One report's contribution to corpus statistics."""
-    labels = [
-        TaxonomyLabel(parse_domain(v["domain"]), v["task"])
-        for v in report["verdicts"]
-        if v["is_ai"] and v.get("domain") and v.get("task")
-    ]
-    app_label = None
-    if report.get("app_label"):
-        app_label = TaxonomyLabel(
-            parse_domain(report["app_label"]["domain"]), report["app_label"]["task"]
-        )
+    app_label = report.get("app_label")
     return AppAggregate(
         app_id=report["app_id"],
-        labels=labels,
-        app_label=app_label,
+        labels=[label_of(v.get("domain"), v.get("task")) for v in report["verdicts"] if v["is_ai"]],
+        app_label=label_of(app_label["domain"], app_label["task"]) if app_label else None,
         kind_counts=dict(report.get("kind_counts", {})),
     )

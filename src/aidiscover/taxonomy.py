@@ -28,6 +28,8 @@ class EmptyLabels(Exception):
 
 
 class DomainLabel(Enum):
+    """The closed domain set, declared in app-label tie-break order."""
+
     COMPUTER_VISION = "ComputerVision"
     DATA_ANALYSIS = "DataAnalysis"
     NATURAL_LANGUAGE_PROCESSING = "NaturalLanguageProcessing"
@@ -50,14 +52,7 @@ _DISPLAY = {
 }
 
 # Deterministic tie-break order for app labeling, most common domain first.
-DOMAIN_PRECEDENCE = (
-    DomainLabel.COMPUTER_VISION,
-    DomainLabel.DATA_ANALYSIS,
-    DomainLabel.NATURAL_LANGUAGE_PROCESSING,
-    DomainLabel.AUDIO_SPEECH_PROCESSING,
-    DomainLabel.AUGMENTED_REALITY,
-    DomainLabel.OTHERS,
-)
+DOMAIN_PRECEDENCE = tuple(DomainLabel)
 
 _DOMAIN_ALIASES = {
     "cv": DomainLabel.COMPUTER_VISION,
@@ -99,6 +94,14 @@ class TaxonomyLabel:
 
 
 UNCLASSIFIED = TaxonomyLabel(DomainLabel.OTHERS, UNCLASSIFIED_TASK)
+
+
+def label_of(domain: Optional[str], task: Optional[str]) -> TaxonomyLabel:
+    """The one component-label rule: both parts normalized, or UNCLASSIFIED
+    unless both are set."""
+    if not (domain and task):
+        return UNCLASSIFIED
+    return TaxonomyLabel(parse_domain(domain), normalize_task(task))
 
 
 @dataclass
@@ -208,34 +211,27 @@ def classify_components(
 ) -> list[TaxonomyLabel]:
     """Label AI components with (domain, task), one label per verdict.
 
-    Components that already carry both labels are not re-sent. A successful
-    label is set on its verdict. An item-level or gateway failure labels as
+    Components that already carry both labels are not re-sent. A verdict
+    left with both labels gets them back normalized by ``label_of``. An
+    item-level or gateway failure, or a reply missing a part, labels as
     UNCLASSIFIED but leaves the verdict unlabeled, so the KB never stores the
     fallback and a later run asks again.
     """
-    labels: list[TaxonomyLabel] = [UNCLASSIFIED] * len(verdicts)
-    pending: list[int] = []
-    for i, verdict in enumerate(verdicts):
-        if verdict.domain and verdict.task:
-            labels[i] = TaxonomyLabel(parse_domain(verdict.domain), normalize_task(verdict.task))
-        else:
-            pending.append(i)
-    if not pending:
-        return labels
-
-    items = [component_line(verdicts[i].candidate.text, verdicts[i].analysis) for i in pending]
-    try:
-        results = gateway.run_items(TaskId.CLASSIFY_TAXONOMY, items, batch_size)
-    except GatewayError as exc:
-        log.warning("taxonomy classification failed: %s", exc)
-        return labels
-    for i, result in zip(pending, results):
-        if result.error or not result.payload:
-            continue
-        payload = result.payload
-        labels[i] = TaxonomyLabel(parse_domain(payload["domain"]), normalize_task(payload["task"]))
-        verdicts[i].domain = labels[i].domain.value
-        verdicts[i].task = labels[i].task
+    pending = [v for v in verdicts if not (v.domain and v.task)]
+    if pending:
+        items = [component_line(v.candidate.text, v.analysis) for v in pending]
+        try:
+            results = gateway.run_items(TaskId.CLASSIFY_TAXONOMY, items, batch_size)
+        except GatewayError as exc:
+            log.warning("taxonomy classification failed: %s", exc)
+            results = []
+        for verdict, result in zip(pending, results):
+            if result.payload and not result.error:
+                verdict.domain, verdict.task = result.payload["domain"], result.payload["task"]
+    labels = [label_of(v.domain, v.task) for v in verdicts]
+    for verdict, label in zip(verdicts, labels):
+        labeled = verdict.domain and verdict.task
+        verdict.domain, verdict.task = (label.domain.value, label.task) if labeled else (None, None)
     return labels
 
 
@@ -301,14 +297,9 @@ def aggregate_stats(all_apps: Iterable[AppAggregate]) -> CorpusStats:
     for label, count in label_counter.items():
         domain_counter[label.domain] += count
 
-    domain_dist = (
-        {d: c / total_labels for d, c in domain_counter.items()} if total_labels else {}
-    )
-    task_dist = (
-        {(label.domain, label.task): c / total_labels for label, c in label_counter.items()}
-        if total_labels
-        else {}
-    )
+    # Both are empty when there are no labels, so nothing divides by zero.
+    domain_dist = {d: c / total_labels for d, c in domain_counter.items()}
+    task_dist = {(label.domain, label.task): c / total_labels for label, c in label_counter.items()}
     kind_totals["total"] = sum(kind_totals.values())
 
     return CorpusStats(

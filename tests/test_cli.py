@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from aidiscover import cli
+from aidiscover import candidates, cli
 from aidiscover.kb import VERDICT_AI, VERDICT_NON_AI, KbKey, KbRecord, kb_sync
+from aidiscover.pipeline import PipelineConfig
 from aidiscover.report import iter_report_paths, read_report
 
 from conftest import write_jsonl
@@ -138,6 +139,17 @@ class TestAnalyze:
         assert manifest["backend_calls_by_task"] == {"Summarize": len(rows)}
         for path in iter_report_paths(cold):
             assert read_report(warm / path.name)["summary"] == read_report(path)["summary"]
+
+    def test_packaged_model_suffixes_are_read_once_per_run(self, tmp_path, fixture_corpus, monkeypatch):
+        apks, _, _ = fixture_corpus
+        reads = []
+        read_list = candidates.read_list
+        monkeypatch.setattr(
+            candidates, "read_list", lambda name, path=None: reads.append(name) or read_list(name, path)
+        )
+        code, _ = analyze(tmp_path, apks[:3])
+        assert code == cli.EXIT_OK
+        assert reads.count("model_suffixes.txt") == 1
 
     def test_order_flag_round_trips(self, tmp_path, fixture_corpus):
         apks, _, _ = fixture_corpus
@@ -298,6 +310,44 @@ class TestStats:
         assert code == cli.EXIT_OK
         assert "package_api" in out and "Computer Vision" in out
 
+    def test_kb_labels_read_the_same_in_report_app_label_and_both_stats(self, tmp_path, fixture_corpus, capsys):
+        apks, _, _ = fixture_corpus
+        analyze(tmp_path, [apks[0]], out="cold")
+        kb_path = tmp_path / "cold.kb.jsonl"
+        rows = [json.loads(line) for line in kb_path.read_text().splitlines()]
+        for row in rows:
+            if row["verdict"] == VERDICT_AI:
+                row.update(domain="computer vision", task="object detection")
+        kb_path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out_dir = tmp_path / "warm"
+        assert run_cli("analyze", "--kb", kb_path, "--out", out_dir, "--deterministic", apks[0]) == cli.EXIT_OK
+        label = {"domain": "ComputerVision", "task": "Object Detection"}
+        report = read_report(out_dir / "app_00.json")
+        ai_rows = [row for row in report["verdicts"] if row["is_ai"]]
+        assert ai_rows and all({"domain": r["domain"], "task": r["task"]} == label for r in ai_rows)
+        assert report["app_label"] == label
+        capsys.readouterr()
+        for source in (("--reports", out_dir), ("--kb", kb_path)):
+            assert run_cli("stats", *source, "--json") == cli.EXIT_OK
+            doc = json.loads(capsys.readouterr().out)
+            assert doc["component_task_dist"] == {"ComputerVision/Object Detection": 1.0}
+
+    @pytest.mark.parametrize("command", ["stats", "evaluate"])
+    def test_stray_json_in_report_dir_is_an_error_naming_it(self, tmp_path, fixture_corpus, capsys, command):
+        apks, component_truth, _ = fixture_corpus
+        _, out_dir = analyze(tmp_path, [apks[0]])
+        stray = out_dir / "notes.json"
+        stray.write_text(json.dumps({"app_id": "app_00"}))
+        truth = write_jsonl(tmp_path / "truth.jsonl", component_truth)
+        capsys.readouterr()
+        argv = {
+            "stats": ("stats", "--reports", out_dir),
+            "evaluate": ("evaluate", "--predictions", out_dir, "--truth", truth),
+        }[command]
+        assert run_cli(*argv) == cli.EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(stray) in err
+
 
 class TestCurateCommand:
     def test_curate_writes_survivors(self, tmp_path, capsys):
@@ -317,6 +367,16 @@ class TestCurateCommand:
 
 
 class TestUsage:
+    @pytest.mark.parametrize(
+        "config",
+        [{}, {"batch_size": None, "order": None, "kb": None, "sampling": None}, {"sampling": {"top_p": None}}],
+    )
+    def test_unset_and_null_settings_take_the_config_class_defaults(self, tmp_path, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = cli.build_parser().parse_args(["analyze", "x.apk"])
+        assert cli.build_pipeline_config(args, cli._load_config_file(str(path))) == PipelineConfig()
+
     def test_no_arguments_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             cli.main([])
@@ -344,6 +404,12 @@ class TestUsage:
             {"sampling": 5},
             {"sampling": {"temperature": "hot"}},
             {"sampling": {"top_p": True}},
+            {"batch_size": [1]},
+            {"kb": 5},
+            {"retry_budget": True},
+            {"order": ""},
+            {"backend": ""},
+            {"audience": "everyone"},
         ],
     )
     def test_malformed_config_is_an_error_naming_the_file(self, tmp_path, capsys, command, config):

@@ -166,11 +166,15 @@ def test_load_descriptions_roundtrip(tmp_path):
     path.write_text(
         '{"package_name": "com.a", "text": "hello", "release_date": "2023-04-01"}\n'
         '{"package_name": "com.b", "text": ""}\n'
-        "not json at all\n",
+        "not json at all\n"
+        "[1]\n"
+        '{"package_name": "com.c", "text": 5}\n'
+        '{"package_name": 7, "text": "hello"}\n'
+        '{"package_name": "com.d", "text": "hello", "release_date": 20230401}\n',
         encoding="utf-8",
     )
     descs = load_descriptions(path)
-    assert len(descs) == 2
+    assert [d.package_name for d in descs] == ["com.a", "com.b"]
     assert descs[0].release_date.isoformat() == "2023-04-01"
     assert descs[1].release_date is None
 

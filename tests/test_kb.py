@@ -98,6 +98,29 @@ def test_sync_skips_corrupt_lines(tmp_path):
     assert kb.corrupt_lines == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("kind", ["Package"]),
+        ("text", 7),
+        ("verdict", None),
+        ("created_at", 0),
+        ("analysis", ["a"]),
+        ("domain", 5),
+        ("task", {"name": "detection"}),
+        ("model_id", True),
+    ],
+)
+def test_sync_skips_a_line_whose_field_has_the_wrong_type(tmp_path, field, value):
+    line = json.loads(ai_record(text="a.bad", domain="ComputerVision", task="Detection").to_line())
+    line[field] = value
+    path = tmp_path / "kb.jsonl"
+    path.write_text(ai_record(text="a.good").to_line() + "\n" + json.dumps(line) + "\n")
+    kb = kb_sync(path)
+    assert list(kb.records) == [KbKey.make("Package", "a.good")]
+    assert kb.corrupt_lines == 1
+
+
 def test_round_trip_10k_records(tmp_path):
     path = tmp_path / "kb.jsonl"
     kb = kb_sync(path)

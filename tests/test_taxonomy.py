@@ -19,10 +19,12 @@ from aidiscover.taxonomy import (
     DomainLabel,
     EmptyLabels,
     AiServiceReport,
+    UNCLASSIFIED,
     TaxonomyLabel,
     aggregate_stats,
     classify_app,
     classify_components,
+    label_of,
     normalize_task,
     parse_domain,
     summarize_app,
@@ -70,6 +72,12 @@ class TestParseDomain:
     def test_normalize_task(self):
         assert normalize_task("  object   detection ") == "Object Detection"
         assert normalize_task("") == "Unclassified"
+
+    def test_label_of_normalizes_both_parts_or_falls_back(self):
+        assert label_of("computer vision", " object   detection") == TaxonomyLabel(CV, "Object Detection")
+        assert label_of("cv", "Object Detection") == label_of("ComputerVision", "object detection")
+        for domain, task in ((None, "Object Detection"), ("cv", ""), (None, None)):
+            assert label_of(domain, task) is UNCLASSIFIED
 
 
 class TestClassifyComponent:
@@ -131,6 +139,19 @@ class TestClassifyComponent:
         labels = classify_components([verdict], mock_gateway)
         assert labels == [TaxonomyLabel(CV, "Face Recognition")]
         assert mock_gateway.call_count == 0
+
+    def test_prelabeled_verdict_gets_its_labels_normalized(self, mock_gateway):
+        verdict = ai_verdict("com.any.thing")
+        verdict.domain, verdict.task = "computer vision", "face  recognition"
+        assert classify_components([verdict], mock_gateway) == [TaxonomyLabel(CV, "Face Recognition")]
+        assert (verdict.domain, verdict.task) == ("ComputerVision", "Face Recognition")
+
+    def test_reply_missing_a_part_leaves_the_verdict_unlabeled(self):
+        raw = json.dumps([{"index": 0, "domain": "", "task": "gold making"}])
+        verdict = ai_verdict("com.x.y")
+        [label] = classify_components([verdict], make_gateway(ScriptedBackend([raw])))
+        assert label is UNCLASSIFIED
+        assert verdict.domain is None and verdict.task is None
 
 
 class TestClassifyApp:
