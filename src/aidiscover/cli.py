@@ -52,7 +52,7 @@ ORDERS = tuple(o.value for o in PipelineOrder)
 # type each one takes.
 _INTEGER = (int, "an integer")
 _NUMBER = ((int, float), "a number")
-_STRING = (str, "a string")
+_STRING = (str, "a non-empty string")
 _CONFIG_TYPES = {
     "batch_size": _INTEGER,
     "few_shot_k": _INTEGER,
@@ -87,7 +87,7 @@ def _load_config_file(path: Optional[str]) -> dict:
         (f"sampling.{f.name}", cfg["sampling"].get(f.name), _NUMBER) for f in fields(SamplingConfig)
     ]
     for name, value, (types, noun) in checks:
-        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+        if value is not None and (isinstance(value, bool) or not isinstance(value, types) or value == ""):
             raise ValueError(f"{path}: {name} must be {noun}, got {json.dumps(value)}")
     for name, choices in _CONFIG_CHOICES.items():
         if cfg.get(name) is not None and cfg[name] not in choices:
@@ -119,8 +119,8 @@ def build_pipeline_config(args: argparse.Namespace, file_cfg: dict) -> PipelineC
         sampling=SamplingConfig(**_set_only(**sampling)),
         few_shot_k=file_cfg.get("few_shot_k"),
         audience=_setting(args, file_cfg, "audience"),
-        whitelist_path=Path(whitelist) if whitelist else None,
-        kb_path=Path(kb) if kb else None,
+        whitelist_path=Path(whitelist) if whitelist is not None else None,
+        kb_path=Path(kb) if kb is not None else None,
         max_in_flight=file_cfg.get("max_in_flight"),
         retry_budget=file_cfg.get("retry_budget"),
     ))
@@ -143,6 +143,12 @@ def make_gateway(args: argparse.Namespace, file_cfg: dict, cfg: PipelineConfig) 
         retry_budget=cfg.retry_budget,
         max_in_flight=cfg.max_in_flight,
     )
+
+
+def _non_empty(text: str) -> str:
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
 
 
 def _positive_int(text: str) -> int:
@@ -430,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
     common.add_argument("--backend", choices=BACKENDS, help="completion backend")
-    common.add_argument("--model", help="model name for the live backend")
+    common.add_argument("--model", type=_non_empty, help="model name for the live backend")
     common.add_argument("--batch-size", type=int, dest="batch_size", help="items per request")
     common.add_argument("--order", choices=ORDERS, help="analysis/detection order")
     common.add_argument("--audience", choices=AUDIENCES)
@@ -438,9 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", parents=[common], help="analyze APK files end to end")
     p_analyze.add_argument("apks", nargs="+", metavar="APK")
     p_analyze.add_argument("--out", default="reports", help="report output directory")
-    p_analyze.add_argument("--kb", help="knowledge base log path")
-    p_analyze.add_argument("--whitelist", help="non-AI prefix whitelist file")
-    p_analyze.add_argument("--model-suffixes", help="model asset suffix list file")
+    p_analyze.add_argument("--kb", type=_non_empty, help="knowledge base log path")
+    p_analyze.add_argument("--whitelist", type=_non_empty, help="non-AI prefix whitelist file")
+    p_analyze.add_argument("--model-suffixes", type=_non_empty, help="model asset suffix list file")
     p_analyze.add_argument(
         "--jobs", type=_positive_int, help="apps analyzed at once, at least 1 (default: CPU count)"
     )
@@ -459,8 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = sub.add_parser("stats", help="corpus statistics from a KB or report directory")
     group = p_stats.add_mutually_exclusive_group(required=True)
-    group.add_argument("--kb", help="knowledge base log path")
-    group.add_argument("--reports", help="report directory")
+    group.add_argument("--kb", type=_non_empty, help="knowledge base log path")
+    group.add_argument("--reports", type=_non_empty, help="report directory")
     p_stats.add_argument("--json", action="store_true", help="machine-readable output")
     p_stats.set_defaults(func=cmd_stats)
 

@@ -13,6 +13,7 @@ from typing import Optional, Sequence, Union
 
 from .gateway import GatewayError, LlmGateway, TaskId
 from .listfile import parse_list, read_list
+from .pipeline import PipelineConfig
 
 log = logging.getLogger(__name__)
 
@@ -102,7 +103,7 @@ def curate(
     descs: Sequence[AppDescription],
     kw: KeywordList,
     gateway: LlmGateway,
-    batch_size: int = 3,
+    batch_size: int = PipelineConfig.batch_size,
 ) -> CurationResult:
     """Run both stages over a description list, preserving input order.
 

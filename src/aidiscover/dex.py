@@ -188,6 +188,10 @@ def parse_dex(data: bytes) -> DexSymbols:
             raise TruncatedDex(f"type_id {i} string index {str_idx} out of range")
         descriptors.append(strings[str_idx])
 
+    # Each type in source form once, indexed by every method and proto row.
+    sources = [descriptor_to_source(d) for d in descriptors]
+    class_names = [class_descriptor_to_name(d) for d in descriptors]
+
     protos: list[tuple[str, list[str]]] = []
     for i, (_, return_type_idx, parameters_off) in enumerate(proto_ids):
         if return_type_idx >= len(descriptors):
@@ -203,8 +207,8 @@ def parse_dex(data: bytes) -> DexSymbols:
             for j, type_idx in enumerate(type_idxs):
                 if type_idx >= len(descriptors):
                     raise TruncatedDex(f"proto {i} param {j} type index out of range")
-                params.append(descriptor_to_source(descriptors[type_idx]))
-        protos.append((descriptor_to_source(descriptors[return_type_idx]), params))
+                params.append(sources[type_idx])
+        protos.append((sources[return_type_idx], params))
 
     methods: list[MethodRef] = []
     for i, (class_idx, proto_idx, name_idx) in enumerate(method_ids):
@@ -213,7 +217,7 @@ def parse_dex(data: bytes) -> DexSymbols:
         ret, params = protos[proto_idx]
         methods.append(
             MethodRef(
-                class_name=descriptor_to_source(descriptors[class_idx]),
+                class_name=sources[class_idx],
                 return_type=ret,
                 name=strings[name_idx],
                 param_types=params,
@@ -224,14 +228,13 @@ def parse_dex(data: bytes) -> DexSymbols:
     for i, (class_idx,) in enumerate(class_defs):
         if class_idx >= len(descriptors):
             raise TruncatedDex(f"class_def {i} type index out of range")
-        name = class_descriptor_to_name(descriptors[class_idx])
+        name = class_names[class_idx]
         if name:
             defined.append(name)
 
-    class_names = [n for n in (class_descriptor_to_name(d) for d in descriptors) if n]
     return DexSymbols(
         strings=strings,
-        class_names=class_names,
+        class_names=[n for n in class_names if n],
         defined_class_names=defined,
         methods=methods,
     )

@@ -10,12 +10,11 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, Callable, Optional, Union
+from typing import BinaryIO, Callable, NamedTuple, Optional, Union
 
 from .gateway import MalformedJson, summary_payload
 
@@ -24,21 +23,24 @@ log = logging.getLogger(__name__)
 VERDICT_AI = "AI"
 VERDICT_NON_AI = "NonAI"
 
-_WS = re.compile(r"\s+")
-
 
 def normalize_text(text: str) -> str:
-    """Lowercase and collapse runs of whitespace; idempotent."""
-    return _WS.sub(" ", text.strip().lower())
+    """Lowercase and collapse runs of whitespace; idempotent.
+
+    ``str.split()`` splits on the same code points as the regex ``\\s+``.
+    """
+    return " ".join(text.lower().split())
 
 
 def utc_now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-@dataclass(frozen=True)
-class KbKey:
-    """Candidate identity across apps: kind plus normalized text."""
+class KbKey(NamedTuple):
+    """Candidate identity across apps: kind plus normalized text.
+
+    A tuple, so hashing and equality on every lookup run in C.
+    """
 
     kind: str
     normalized_text: str

@@ -6,10 +6,9 @@ import json
 from importlib import resources
 
 from .gateway import PromptTemplate, TaskId
+from .pipeline import PipelineConfig
 
 AUDIENCES = ("user", "developer", "regulator")
-
-DEFAULT_FEW_SHOT = 5
 
 
 def _raw() -> dict:
@@ -21,7 +20,9 @@ def prompts_version() -> str:
     return _raw().get("version", "0")
 
 
-def load_templates(few_shot_k: int = DEFAULT_FEW_SHOT, audience: str = "user") -> dict[str, PromptTemplate]:
+def load_templates(
+    few_shot_k: int = PipelineConfig.few_shot_k, audience: str = PipelineConfig.audience
+) -> dict[str, PromptTemplate]:
     """Templates for every task, few-shot lists truncated to ``few_shot_k``.
 
     The Summarize instruction is selected by audience.

@@ -7,6 +7,7 @@ import json
 import logging
 from collections import Counter
 from datetime import datetime
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
@@ -179,25 +180,120 @@ def render_report_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+_INDENT = "  "
+_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+
+
+def _flat_encode(obj, separator: str) -> str:
+    """``obj`` as sorted JSON from the C encoder, items joined by ``separator``.
+
+    The C encoder runs only without ``indent``, so nested containers come out
+    with this same separator.
+    """
+    return json.JSONEncoder(
+        ensure_ascii=False, sort_keys=True, separators=(separator, ": ")
+    ).encode(obj)
+
+
+def _is_flat(values) -> bool:
+    return _SCALAR_TYPES.issuperset(map(type, values))
+
+
+def render_json(obj, depth: int = 0) -> str:
+    r"""``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``, byte for
+    byte, for a JSON value whose object keys are strings.
+
+    A container whose values are all scalars is one C-encoder call with the
+    item separator ``",\n"`` plus its items' indent, and a list of such dicts
+    (the verdict rows) is one call whose row boundaries are fixed afterwards:
+    an encoded JSON string never holds a raw newline, so ``},\n<indent>{``
+    only occurs between rows. Other containers recurse item by item.
+    """
+    if isinstance(obj, dict):
+        brackets, values = "{}", obj.values()
+    elif isinstance(obj, (list, tuple)):
+        brackets, values = "[]", obj
+    else:
+        return _flat_encode(obj, ",")
+    if not obj:
+        return brackets
+    inner = "\n" + _INDENT * (depth + 1)
+    outer = "\n" + _INDENT * depth
+    if _is_flat(values):
+        body = _flat_encode(obj, "," + inner)[1:-1]
+    elif (
+        brackets == "[]"
+        and {dict}.issuperset(map(type, obj))
+        and all(obj)
+        and _is_flat(chain.from_iterable(map(dict.values, obj)))
+    ):
+        row_inner = inner + _INDENT
+        body = _flat_encode(obj, "," + row_inner)[2:-2]
+        body = body.replace("}," + row_inner + "{", inner + "}," + inner + "{" + row_inner)
+        body = "{" + row_inner + body + inner + "}"
+    elif brackets == "{}":
+        body = ("," + inner).join(
+            f"{_flat_encode(key, ',')}: {render_json(value, depth + 1)}"
+            for key, value in sorted(obj.items())
+        )
+    else:
+        body = ("," + inner).join(render_json(item, depth + 1) for item in obj)
+    return brackets[0] + inner + body + outer + brackets[1]
+
+
 def write_report(report: dict, out_dir: Union[str, Path]) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{report['app_id']}.json"
-    path.write_text(
-        json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    path.write_text(render_json(report) + "\n", encoding="utf-8")
     (out_dir / f"{report['app_id']}.txt").write_text(render_report_text(report), encoding="utf-8")
     return path
 
 
+def _is_verdict_row(row) -> bool:
+    """A row has what ``evaluate`` and ``report_aggregate`` read from it."""
+    return (
+        isinstance(row, dict)
+        and isinstance(row.get("is_ai"), bool)
+        and isinstance(row.get("kind"), str)
+        and isinstance(row.get("text"), str)
+        and isinstance(row.get("domain"), (str, type(None)))
+        and isinstance(row.get("task"), (str, type(None)))
+    )
+
+
+def _is_app_label(label) -> bool:
+    return label is None or (
+        isinstance(label, dict)
+        and isinstance(label.get("domain"), str)
+        and isinstance(label.get("task"), str)
+    )
+
+
 def read_report(path: Union[str, Path]) -> dict:
+    """A report file, checked for every field that ``evaluate`` and ``stats`` read.
+
+    Raises:
+        ValueError: naming the file, when it is not such a report.
+    """
     report = json.loads(Path(path).read_text(encoding="utf-8"))
     if not (
         isinstance(report, dict)
         and isinstance(report.get("app_id"), str)
+        and isinstance(report.get("is_ai_app"), bool)
         and isinstance(report.get("verdicts"), list)
     ):
-        raise ValueError(f"{path}: not a report (needs an app_id string and a verdicts list)")
+        raise ValueError(
+            f"{path}: not a report (needs an app_id string, an is_ai_app bool and a verdicts list)"
+        )
+    if not _is_app_label(report.get("app_label")):
+        raise ValueError(f"{path}: app_label must be null or an object with domain and task strings")
+    for i, row in enumerate(report["verdicts"]):
+        if not _is_verdict_row(row):
+            raise ValueError(
+                f"{path}: verdicts[{i}] needs a bool is_ai, kind and text strings,"
+                " and domain and task strings or null"
+            )
     return report
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .candidates import ApiSignature, CandidateKind, dotted_prefixes, package_of
 from .gateway import GatewayError, LlmGateway, TaskId
-from .pipeline import ComponentVerdict, component_line
+from .pipeline import ComponentVerdict, PipelineConfig, component_line
 
 log = logging.getLogger(__name__)
 
@@ -207,7 +207,7 @@ def summarize_app(
 def classify_components(
     verdicts: Sequence[ComponentVerdict],
     gateway: LlmGateway,
-    batch_size: int = 3,
+    batch_size: int = PipelineConfig.batch_size,
 ) -> list[TaxonomyLabel]:
     """Label AI components with (domain, task), one label per verdict.
 

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Union
+from typing import Callable, Union
 
 from .candidates import ApiSignature, Candidate, CandidateKind, CandidateSet, dotted_prefixes
 from .listfile import parse_list, read_list
@@ -53,12 +54,13 @@ def load_whitelist(path: Union[str, Path, None] = None) -> Whitelist:
     return parse_whitelist(read_list("whitelist.txt", path))
 
 
-def _drop(candidate: Candidate, wl: Whitelist) -> bool:
+def _drop(candidate: Candidate, matches: Callable[[str], bool]) -> bool:
+    """Whether ``matches`` (a whitelist test on a dotted name) drops one candidate."""
     if candidate.kind == CandidateKind.PACKAGE:
-        return wl.matches(candidate.text)
+        return matches(candidate.text)
     if candidate.kind == CandidateKind.API:
         class_name = ApiSignature.class_name_of(candidate.text)
-        return class_name is not None and wl.matches(class_name)
+        return class_name is not None and matches(class_name)
     # URL and model-asset candidates are never whitelisted away.
     return False
 
@@ -67,11 +69,13 @@ def apply_whitelist(cand_set: CandidateSet, wl: Whitelist) -> CandidateSet:
     """Drop Package/Api candidates under any whitelisted prefix.
 
     Idempotent; preserves candidate order, occurrences, and every candidate
-    of other kinds.
+    of other kinds. Each distinct name is tested once per call, since an app
+    has many API candidates per class.
     """
+    matches = functools.cache(wl.matches)
     return CandidateSet(
         app_id=cand_set.app_id,
-        candidates=[c for c in cand_set.candidates if not _drop(c, wl)],
+        candidates=[c for c in cand_set.candidates if not _drop(c, matches)],
         obfuscation=cand_set.obfuscation,
         warnings=list(cand_set.warnings),
     )

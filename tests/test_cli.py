@@ -348,6 +348,30 @@ class TestStats:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(stray) in err
 
+    @pytest.mark.parametrize("command", ["stats", "evaluate"])
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda report: report["verdicts"][0].pop("is_ai"), lambda report: report.update(app_label="CV")],
+        ids=["row_without_is_ai", "app_label_not_an_object"],
+    )
+    def test_report_with_a_malformed_field_is_an_error_naming_it(
+        self, tmp_path, fixture_corpus, capsys, command, spoil
+    ):
+        apks, component_truth, _ = fixture_corpus
+        _, out_dir = analyze(tmp_path, [apks[0]])
+        path = out_dir / "app_00.json"
+        report = json.loads(path.read_text())
+        spoil(report)
+        path.write_text(json.dumps(report))
+        truth = write_jsonl(tmp_path / "truth.jsonl", component_truth)
+        capsys.readouterr()
+        argv = {
+            "stats": ("stats", "--reports", out_dir),
+            "evaluate": ("evaluate", "--predictions", out_dir, "--truth", truth),
+        }[command]
+        assert run_cli(*argv) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
 
 class TestCurateCommand:
     def test_curate_writes_survivors(self, tmp_path, capsys):
@@ -423,6 +447,34 @@ class TestUsage:
         assert run_cli(command, "--config", path, *args) == cli.EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("key", ["kb", "whitelist"])
+    def test_empty_path_in_config_is_refused(self, tmp_path, fixture_corpus, capsys, key):
+        apks, _, _ = fixture_corpus
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({key: ""}))
+        assert run_cli("analyze", "--config", path, "--out", tmp_path / "out", apks[0]) == cli.EXIT_FAILURE
+        assert capsys.readouterr().err.startswith(f"error: {path}: {key} must be a non-empty string")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--kb", "", "x.apk"),
+            ("analyze", "--whitelist", "", "x.apk"),
+            ("analyze", "--model-suffixes", "", "x.apk"),
+            ("analyze", "--model", "", "x.apk"),
+            ("stats", "--kb", ""),
+            ("stats", "--reports", ""),
+        ],
+        ids=lambda argv: "-".join(argv[:2]),
+    )
+    def test_empty_path_flag_is_a_usage_error(self, tmp_path, argv, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == cli.EXIT_USAGE
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParallelJobs:

@@ -1,4 +1,6 @@
 import json
+import re
+import sys
 import threading
 from datetime import datetime, timezone
 
@@ -31,6 +33,22 @@ def non_ai_record(kind="Package", text="com.acme.logging", **kwargs) -> KbRecord
 def test_normalize_text():
     assert normalize_text("  Foo   BAR\tbaz ") == "foo bar baz"
     assert normalize_text(normalize_text("  Foo   BAR ")) == normalize_text("  Foo   BAR ")
+
+
+_WS = re.compile(r"\s+")
+
+
+def reference_normalize_text(text: str) -> str:
+    return _WS.sub(" ", text.strip().lower())
+
+
+def test_normalize_text_equals_the_regex_rule_on_every_code_point():
+    # Each code point at both ends, doubled inside, and next to letters that
+    # lowercase, so whitespace, strip and case mapping are all exercised.
+    texts = [f"{c}A{c}{c}b{c}" for c in map(chr, range(sys.maxunicode + 1))]
+    got = list(map(normalize_text, texts))
+    want = list(map(reference_normalize_text, texts))
+    assert [t for t, g, w in zip(texts, got, want) if g != w] == []
 
 
 def test_insert_then_lookup(tmp_path):

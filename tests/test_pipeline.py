@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from aidiscover.backends import MockBackend
 from aidiscover.candidates import Candidate, CandidateKind, CandidateSet
+from aidiscover.curation import curate
 from aidiscover.gateway import BackendUnavailable, TaskId
 from aidiscover.kb import VERDICT_AI, VERDICT_NON_AI, KbKey, KbRecord, KnowledgeBase, kb_sync
 from aidiscover.pipeline import (
@@ -20,6 +22,7 @@ from aidiscover.pipeline import (
     write_back,
 )
 
+from aidiscover.prompts import load_templates
 from aidiscover.report import analyze_app
 from aidiscover.taxonomy import classify_components
 from aidiscover.whitelist import load_whitelist
@@ -339,3 +342,17 @@ def test_orders_agree_and_dta_never_costs_more(texts):
     non_ai = sum(1 for v in r_atd.verdicts if not v.is_ai)
     if non_ai >= 3:
         assert g_dta.call_count < g_atd.call_count
+
+
+@pytest.mark.parametrize(
+    "function, parameter",
+    [
+        (load_templates, "few_shot_k"),
+        (load_templates, "audience"),
+        (classify_components, "batch_size"),
+        (curate, "batch_size"),
+    ],
+)
+def test_library_defaults_are_the_pipeline_config_defaults(function, parameter):
+    default = inspect.signature(function).parameters[parameter].default
+    assert default == getattr(PipelineConfig(), parameter)

@@ -5,6 +5,7 @@ from aidiscover.candidates import Candidate, CandidateKind, CandidateSet
 from aidiscover.whitelist import (
     EmptyWhitelist,
     Whitelist,
+    _drop,
     apply_whitelist,
     load_whitelist,
     parse_whitelist,
@@ -156,3 +157,21 @@ def test_apply_whitelist_idempotent_and_monotone(cands, wl):
         assert len([c for c in once.candidates if c.kind == kind]) == len(
             [c for c in original.candidates if c.kind == kind]
         )
+
+
+# API candidates of a few classes with several methods each, in mixed case,
+# plus signatures that name no class.
+_api_candidates = st.builds(
+    lambda cls, method: Candidate(CandidateKind.API, f"<{cls}: void {method}()>", "src"),
+    st.one_of(_dotted, _dotted.map(str.upper)),
+    st.sampled_from(["a", "b", "c"]),
+) | st.sampled_from(["<: void a()>", "java.lang.Foo", "<java>"]).map(
+    lambda text: Candidate(CandidateKind.API, text, "src")
+)
+
+
+@given(st.lists(_api_candidates, max_size=25), _candidates, _whitelists)
+def test_apply_whitelist_equals_the_per_candidate_filter(apis, others, wl):
+    cands = apis + others
+    out = apply_whitelist(make_set(cands), wl)
+    assert out.candidates == [c for c in cands if not _drop(c, wl.matches)]
