@@ -9,11 +9,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional
-
-import requests
+from typing import TYPE_CHECKING, Optional
 
 from .gateway import BackendUnavailable, RateLimited, RenderedRequest, TaskId
+
+if TYPE_CHECKING:
+    import requests
 
 API_KEY_ENV = "AIDISCOVER_API_KEY"
 
@@ -190,7 +191,8 @@ class LiveBackend:
     """Chat-completion HTTP backend.
 
     The API key comes from the AIDISCOVER_API_KEY environment variable; the
-    endpoint URL and model name are configuration.
+    endpoint URL and model name are configuration. ``requests`` is imported
+    here only, so a mock run never pays for it.
     """
 
     def __init__(
@@ -201,6 +203,8 @@ class LiveBackend:
         timeout: float = 60.0,
         session: Optional[requests.Session] = None,
     ):
+        import requests
+
         key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
         if not key:
             raise ValueError(f"live backend requires an API key via ${API_KEY_ENV}")
@@ -211,6 +215,8 @@ class LiveBackend:
         self._headers = {"Authorization": f"Bearer {key}", "Content-Type": "application/json"}
 
     def complete(self, request: RenderedRequest) -> str:
+        import requests
+
         body = {
             "model": self.model_id,
             "messages": [{"role": "user", "content": request.prompt}],

@@ -116,7 +116,8 @@ def find_urls(text: str) -> list[str]:
 
 
 def _urls_in(texts: Iterable[str]) -> Iterable[str]:
-    return (url for text in texts for url in find_urls(text))
+    # Every URL_RE match contains "://", so a text without it is not scanned.
+    return (url for text in texts if "://" in text for url in find_urls(text))
 
 
 def _is_clean_text(text: str) -> bool:

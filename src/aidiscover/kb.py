@@ -11,7 +11,6 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import BinaryIO, Callable, NamedTuple, Optional, Union
@@ -50,9 +49,19 @@ class KbKey(NamedTuple):
         return cls(kind=kind, normalized_text=normalize_text(text))
 
 
-@dataclass(frozen=True)
-class KbRecord:
-    """One persisted verdict with optional analysis and taxonomy labels."""
+# The bytes of ``json.dumps(..., ensure_ascii=False, sort_keys=True)``
+# without building an encoder per line.
+_encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+_raw_decode = json.JSONDecoder().raw_decode
+_tuple_new = tuple.__new__
+
+
+class KbRecord(NamedTuple):
+    """One persisted verdict with optional analysis and taxonomy labels.
+
+    A tuple, so a replayed KB holds one small object per line rather than an
+    instance with its own ``__dict__``.
+    """
 
     key: KbKey
     verdict: str
@@ -71,7 +80,7 @@ class KbRecord:
             raise ValueError("NonAI records must not carry domain/task labels")
 
     def to_line(self) -> str:
-        payload = {
+        return _encode({
             "kind": self.key.kind,
             "text": self.key.normalized_text,
             "verdict": self.verdict,
@@ -80,27 +89,42 @@ class KbRecord:
             "task": self.task,
             "model_id": self.model_id,
             "created_at": (self.created_at or utc_now()).isoformat(),
-        }
-        return json.dumps(payload, ensure_ascii=False, sort_keys=True)
+        })
 
     @classmethod
-    def from_line(cls, line: str) -> "KbRecord":
-        payload = json.loads(line)
-        for name in ("kind", "text", "verdict", "created_at"):
-            if not isinstance(payload[name], str):
+    def from_line(cls, line: str, shared: Optional[dict] = None) -> "KbRecord":
+        """Decode and validate one log line, stripped as replay passes it.
+
+        Anything after the JSON value makes the line invalid, as it does for
+        ``json.loads``. ``shared`` maps each closed-set value (kind, verdict,
+        model, labels) to one string object, so records replayed with the same
+        dict share them; text and analysis are per component and never shared.
+        """
+        payload, end = _raw_decode(line)
+        if end != len(line):
+            raise ValueError("extra data after the record")
+        kind, text, verdict = payload["kind"], payload["text"], payload["verdict"]
+        created_at = payload["created_at"]
+        analysis, domain, task = payload.get("analysis"), payload.get("domain"), payload.get("task")
+        model_id = payload.get("model_id", "unknown")
+        for name, value in (("kind", kind), ("text", text), ("verdict", verdict), ("created_at", created_at)):
+            if not isinstance(value, str):
                 raise ValueError(f"{name} must be a string")
-        for name in ("analysis", "domain", "task", "model_id"):
-            if not isinstance(payload.get(name), (str, type(None))):
+        for name, value in (("analysis", analysis), ("domain", domain), ("task", task), ("model_id", model_id)):
+            if not isinstance(value, (str, type(None))):
                 raise ValueError(f"{name} must be a string or null")
-        record = cls(
-            key=KbKey(kind=payload["kind"], normalized_text=payload["text"]),
-            verdict=payload["verdict"],
-            analysis=payload.get("analysis"),
-            domain=payload.get("domain"),
-            task=payload.get("task"),
-            model_id=payload.get("model_id", "unknown"),
-            created_at=datetime.fromisoformat(payload["created_at"]),
-        )
+        share = (shared if shared is not None else {}).setdefault
+        # tuple.__new__ with every field in order: the generated __new__ of
+        # each NamedTuple would add a Python call per line.
+        record = _tuple_new(cls, (
+            _tuple_new(KbKey, (share(kind, kind), text)),
+            share(verdict, verdict),
+            analysis,
+            share(domain, domain),
+            share(task, task),
+            share(model_id, model_id),
+            datetime.fromisoformat(created_at),
+        ))
         record.validate()
         return record
 
@@ -195,14 +219,9 @@ class KnowledgeBase(JsonlLog):
         """Validate, stamp, append durably, and make visible to lookup."""
         record.validate()
         if record.created_at is None:
-            record = replace(record, created_at=self.clock())
+            record = record._replace(created_at=self.clock())
         self._put(record.key, record, record.to_line())
         return record
-
-
-def _kb_entry(line: str) -> tuple[KbKey, KbRecord]:
-    record = KbRecord.from_line(line)
-    return record.key, record
 
 
 def kb_sync(path: Union[str, Path, None], clock: Callable[[], datetime] = utc_now) -> KnowledgeBase:
@@ -211,7 +230,13 @@ def kb_sync(path: Union[str, Path, None], clock: Callable[[], datetime] = utc_no
     A None path yields a purely in-memory store.
     """
     kb = KnowledgeBase(path, clock)
-    kb.replay(_kb_entry)
+    shared: dict = {}  # one replay's closed-set values; see KbRecord.from_line
+
+    def entry(line: str) -> tuple[KbKey, KbRecord]:
+        record = KbRecord.from_line(line, shared)
+        return record.key, record
+
+    kb.replay(entry)
     return kb
 
 

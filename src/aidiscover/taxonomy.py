@@ -228,7 +228,10 @@ def classify_components(
         for verdict, result in zip(pending, results):
             if result.payload and not result.error:
                 verdict.domain, verdict.task = result.payload["domain"], result.payload["task"]
-    labels = [label_of(v.domain, v.task) for v in verdicts]
+    pairs = [(v.domain, v.task) for v in verdicts]
+    # Many verdicts share a pair; label_of runs once per distinct one.
+    label_by_pair = {pair: label_of(*pair) for pair in dict.fromkeys(pairs)}
+    labels = [label_by_pair[pair] for pair in pairs]
     for verdict, label in zip(verdicts, labels):
         labeled = verdict.domain and verdict.task
         verdict.domain, verdict.task = (label.domain.value, label.task) if labeled else (None, None)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import aidiscover
 from aidiscover.backends import API_KEY_ENV, LiveBackend, MockBackend, match_marker
 from aidiscover.gateway import (
     BackendUnavailable,
@@ -139,3 +143,11 @@ class TestMarkerTable:
             sampling=SamplingConfig(),
         )
         assert MockBackend().complete(request) == MockBackend().complete(request)
+
+
+def test_importing_the_cli_does_not_import_requests():
+    src = os.path.dirname(os.path.dirname(aidiscover.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, aidiscover.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

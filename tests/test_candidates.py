@@ -5,10 +5,11 @@ import shutil
 import subprocess
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, strategies as st
 
 from aidiscover.apk import open_apk
 from aidiscover.candidates import (
+    _urls_in,
     Candidate,
     CandidateKind,
     candidates_from_symbols,
@@ -319,6 +320,16 @@ def test_find_urls_boundaries():
     assert find_urls('quoted "http://h.example.org:8080/a/b" tail') == [
         "http://h.example.org:8080/a/b"
     ]
+
+
+# Texts built from the pieces of a URL, so many hold "://" and some a match.
+_URLISH = st.lists(st.sampled_from(["h", "t", "p", "s", ":", "/", ".", "http", "://", "a", "1"]), max_size=24)
+
+
+@given(st.lists(_URLISH.map("".join), max_size=6))
+@example(["https://a.b/", "http:/a.b", "x http://1.a/p ://h"])
+def test_url_scan_skips_only_texts_that_cannot_match(texts):
+    assert list(_urls_in(texts)) == [url for text in texts for url in find_urls(text)]
 
 
 def test_corrupt_dex_entry_is_isolated(tmp_path):

@@ -5,6 +5,7 @@ import threading
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, strategies as st
 
 from aidiscover.kb import (
     VERDICT_AI,
@@ -114,6 +115,15 @@ def test_sync_skips_corrupt_lines(tmp_path):
     kb = kb_sync(path)
     assert len(kb.records) == 3
     assert kb.corrupt_lines == 2
+
+
+@pytest.mark.parametrize("tail", [" x", "{}", ' {"kind": "Package"}', ",", "]"])
+def test_sync_skips_a_line_with_data_after_the_record(tmp_path, tail):
+    path = tmp_path / "kb.jsonl"
+    path.write_text(ai_record(text="a.good").to_line() + "\n" + ai_record(text="a.bad").to_line() + tail + "\n")
+    kb = kb_sync(path)
+    assert list(kb.records) == [KbKey.make("Package", "a.good")]
+    assert kb.corrupt_lines == 1
 
 
 @pytest.mark.parametrize(
@@ -230,6 +240,75 @@ def test_record_line_round_trip():
         "model_id",
         "created_at",
     }
+
+
+def _is_valid(record: KbRecord) -> bool:
+    try:
+        record.validate()
+    except ValueError:
+        return False
+    return True
+
+
+# Quotes, backslashes, control characters and non-BMP text besides any code point.
+_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "😀", "a", " "]) | st.characters())
+_RECORDS = st.builds(
+    KbRecord,
+    key=st.builds(KbKey, kind=st.sampled_from(["Package", "Api", "HttpsRequest", "ModelAsset"]), normalized_text=_TEXT),
+    verdict=st.sampled_from([VERDICT_AI, VERDICT_NON_AI]),
+    analysis=st.none() | _TEXT,
+    domain=st.none() | _TEXT,
+    task=st.none() | _TEXT,
+    model_id=_TEXT,
+    created_at=st.datetimes(timezones=st.none() | st.just(timezone.utc)),
+).filter(_is_valid)
+
+
+@given(_RECORDS)
+def test_record_line_round_trips_and_keeps_the_dumps_bytes(record):
+    parsed = KbRecord.from_line(record.to_line())
+    assert parsed == record
+    assert type(parsed) is KbRecord and type(parsed.key) is KbKey
+    payload = {
+        "kind": record.key.kind,
+        "text": record.key.normalized_text,
+        "verdict": record.verdict,
+        "analysis": record.analysis,
+        "domain": record.domain,
+        "task": record.task,
+        "model_id": record.model_id,
+        "created_at": record.created_at.isoformat(),
+    }
+    assert record.to_line() == json.dumps(payload, ensure_ascii=False, sort_keys=True)
+
+
+def test_replay_shares_closed_set_values_but_not_analysis(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    analysis = "on-device object detection for camera frames"
+    path.write_text("".join(
+        ai_record(text=f"com.vendor.m{i}", analysis=analysis, domain="ComputerVision", task="Object Detection").to_line()
+        + "\n"
+        for i in range(2)
+    ))
+    first, second = kb_sync(path).records.values()
+    for part in (lambda r: r.key.kind, lambda r: r.verdict, lambda r: r.model_id, lambda r: r.domain, lambda r: r.task):
+        assert part(first) is part(second)
+    assert first.analysis == second.analysis and first.analysis is not second.analysis
+    # The memo lives for one replay only.
+    [again, _] = kb_sync(path).records.values()
+    assert again.verdict == first.verdict and again.verdict is not first.verdict
+
+
+def test_insert_stamps_the_clock_on_a_copy():
+    stamp = datetime(2024, 5, 1, tzinfo=timezone.utc)
+    kb = KnowledgeBase(clock=lambda: stamp)
+    record = ai_record()
+    stored = kb.insert(record)
+    assert type(stored) is KbRecord
+    assert stored == record._replace(created_at=stamp)
+    assert record.created_at is None
+    kept = ai_record(text="com.other", created_at=datetime(2020, 1, 1, tzinfo=timezone.utc))
+    assert kb.insert(kept) is kept
 
 
 def test_summary_cache_round_trip(tmp_path):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aidiscover.gateway
+import aidiscover.taxonomy
 from aidiscover.backends import MockBackend
 from aidiscover.candidates import Candidate, CandidateKind
-from aidiscover.gateway import ContextOverflow, GatewayError, SamplingConfig
+from aidiscover.gateway import BackendUnavailable, ContextOverflow, GatewayError, SamplingConfig
 from aidiscover.kb import VERDICT_AI, KbKey, KnowledgeBase
 from aidiscover.pipeline import ComponentVerdict, PipelineResult, write_back
 from aidiscover.taxonomy import (
@@ -78,6 +79,16 @@ class TestParseDomain:
         assert label_of("cv", "Object Detection") == label_of("ComputerVision", "object detection")
         for domain, task in ((None, "Object Detection"), ("cv", ""), (None, None)):
             assert label_of(domain, task) is UNCLASSIFIED
+
+
+LABEL_PARTS = st.sampled_from([None, "", "cv", "Computer Vision", "nlp", "Alchemy", " object  detection", "OCR"])
+
+
+class DownBackend:
+    model_id = "down"
+
+    def complete(self, request):
+        raise BackendUnavailable("down")
 
 
 class TestClassifyComponent:
@@ -152,6 +163,28 @@ class TestClassifyComponent:
         [label] = classify_components([verdict], make_gateway(ScriptedBackend([raw])))
         assert label is UNCLASSIFIED
         assert verdict.domain is None and verdict.task is None
+
+
+    @given(st.lists(st.tuples(LABEL_PARTS, LABEL_PARTS), max_size=30))
+    def test_labels_equal_the_per_verdict_rule(self, pairs):
+        verdicts = [ai_verdict(f"com.x{i}") for i in range(len(pairs))]
+        for verdict, (domain, task) in zip(verdicts, pairs):
+            verdict.domain, verdict.task = domain, task
+        # The backend is down, so unlabeled verdicts keep the pair they had.
+        labels = classify_components(verdicts, make_gateway(DownBackend()))
+        assert labels == [label_of(domain, task) for domain, task in pairs]
+
+    def test_parse_domain_runs_once_per_distinct_pair(self, mock_gateway, monkeypatch):
+        calls = Counter()
+        parse = aidiscover.taxonomy.parse_domain
+        monkeypatch.setattr(aidiscover.taxonomy, "parse_domain", lambda text: calls.update([text]) or parse(text))
+        pairs = [("cv", "ocr"), ("nlp", "tokenization"), ("cv", "face recognition")] * 4
+        verdicts = [ai_verdict(f"com.x{i}") for i in range(len(pairs))]
+        for verdict, (domain, task) in zip(verdicts, pairs):
+            verdict.domain, verdict.task = domain, task
+        classify_components(verdicts, mock_gateway)
+        assert calls == Counter({"cv": 2, "nlp": 1})
+        assert mock_gateway.call_count == 0
 
 
 class TestClassifyApp:
