@@ -18,9 +18,9 @@ from .backends import LiveBackend, MockBackend
 from .candidates import load_model_suffixes
 from .curation import curate, load_descriptions, load_keywords
 from .gateway import LlmGateway, SamplingConfig
-from .kb import VERDICT_AI, KnowledgeBase, SummaryCache, kb_sync, normalize_text, utc_now
+from .kb import VERDICT_AI, AppTurn, InputOrder, KnowledgeBase, SummaryCache, kb_sync, normalize_text, utc_now
 from .metrics import cohen_kappa, confusion
-from .pipeline import PipelineConfig, PipelineOrder
+from .pipeline import PROVENANCE_FRESH, PipelineConfig, PipelineOrder
 from .prompts import AUDIENCES, load_templates
 from .report import (
     analyze_app,
@@ -187,12 +187,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     kb = kb_sync(cfg.kb_path, clock)
     cache = SummaryCache(Path(str(cfg.kb_path) + ".summaries") if cfg.kb_path else None)
 
-    jobs = 1 if args.deterministic else (args.jobs or os.cpu_count() or 1)
+    jobs = args.jobs or os.cpu_count() or 1
+    order = InputOrder(len(args.apks))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def one(apk_path: str) -> dict:
+    def one(rank: int, apk_path: str) -> tuple[dict, AppTurn]:
         entry = {"apk": apk_path, "app_id": Path(apk_path).stem}
+        turn = order.app(rank)
         try:
             report = analyze_app(
                 apk_path,
@@ -203,20 +205,36 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 summary_cache=cache,
                 model_suffixes=suffixes,
                 clock=clock,
+                turn=turn,
             )
             path = write_report(report, out_dir)
-            entry.update(status="ok", report=str(path), is_ai_app=report["is_ai_app"])
+            fresh = sum(row["provenance"] == PROVENANCE_FRESH for row in report["verdicts"])
+            entry.update(
+                status="ok",
+                report=str(path),
+                is_ai_app=report["is_ai_app"],
+                kb_hits=len(report["verdicts"]) - fresh - turn.from_earlier_app,
+                fresh=fresh,
+                from_earlier_app=turn.from_earlier_app,
+            )
         except Exception as exc:  # noqa: BLE001 - per-app isolation
             log.error("analysis failed for %s: %s", apk_path, exc)
             entry.update(status="error", error=f"{type(exc).__name__}: {exc}")
-        return entry
+        return entry, turn
 
     try:
         with ThreadPoolExecutor(jobs) as pool:
-            entries = list(pool.map(one, args.apks))
+            done = list(pool.map(one, range(len(args.apks)), args.apks))
     finally:
         kb.close()
         cache.close()
+    # Every app's writes have run once the pool is done, some on a later app's thread.
+    entries = []
+    for entry, turn in done:
+        if turn.write_error is not None:
+            exc = turn.write_error
+            entry.update(status="error", error=f"KB or summary-cache write: {type(exc).__name__}: {exc}")
+        entries.append(entry)
 
     manifest = {
         "apps": entries,
@@ -453,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument(
         "--deterministic",
         action="store_true",
-        help="fixed clock and single worker for reproducible reports",
+        help="fixed report and KB clock for reproducible outputs",
     )
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -4,18 +4,22 @@ Handles prompt rendering with few-shot examples, fixed-size batching,
 structured-output parsing with index alignment, context budgeting, and the
 retry ladder: whole-request resends, then singleton fallback, then per-item
 failure. Every backend request runs on one pool of worker threads owned by
-the gateway, whose size bounds the requests in flight. Per-task request
-counters are kept for cache and ordering tests.
+the gateway, whose size bounds the requests in flight; queued requests are
+served earliest app first. Per-task request counters are kept for cache and
+ordering tests.
 """
 
 from __future__ import annotations
 
+import copy
+import heapq
+import itertools
 import json
 import logging
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence, TypeVar
 
@@ -283,6 +287,12 @@ class LlmGateway:
     ``run_summary`` request and its resends take one worker. Nothing that
     runs on the pool submits to it. The per-task counters are safe to read
     from tests after a run.
+
+    Queued requests wait on a heap ordered by app rank, then submission
+    order: a worker that comes free takes the earliest app's oldest
+    request, so the app the others wait on in input order is served first.
+    :meth:`for_app` gives one app its rank; a gateway that was not made by it
+    has rank 0.
     """
 
     def __init__(
@@ -308,6 +318,40 @@ class LlmGateway:
         self.call_counts: Counter[str] = Counter()
         self._counter_lock = threading.Lock()
         self._pool = ThreadPoolExecutor(max_in_flight, thread_name_prefix="aidiscover-gateway")
+        self._queue: list[tuple] = []  # heap of (rank, seq, fn, args, gather, index)
+        self._queue_lock = threading.Lock()
+        self._seq = itertools.count()
+        self._rank = 0
+
+    def for_app(self, rank: int) -> "LlmGateway":
+        """This gateway for the app at input position ``rank``: the same pool,
+        queue and counters, with that app's requests queued at its rank."""
+        view = copy.copy(self)
+        view._rank = rank
+        return view
+
+    def _run_all(self, fn: Callable[..., T], arg_lists: list[tuple]) -> list[T]:
+        """``fn(*args)`` for every ``args`` on the pool, queued at this
+        gateway's rank: the results in order, or the failure of the earliest
+        call that raised."""
+        gather = _Gather(len(arg_lists))
+        with self._queue_lock:
+            for index, args in enumerate(arg_lists):
+                heapq.heappush(self._queue, (self._rank, next(self._seq), fn, args, gather, index))
+        for _ in arg_lists:
+            self._pool.submit(self._run_next)
+        return gather.wait()
+
+    def _run_next(self) -> None:
+        # One token per queued call, so the heap is never empty here.
+        with self._queue_lock:
+            _, _, fn, args, gather, index = heapq.heappop(self._queue)
+        try:
+            result = fn(*args)
+        except BaseException as exc:  # noqa: BLE001 - raised again by gather.wait
+            gather.put(index, None, exc)
+        else:
+            gather.put(index, result, None)
 
     @property
     def model_id(self) -> str:
@@ -398,12 +442,8 @@ class LlmGateway:
                 stop.set()
                 raise
 
-        futures = [
-            self._pool.submit(send, BatchRequest(template, tuple(b), batch_size))
-            for b in chunk(list(items), batch_size)
-        ]
-        wait(futures)
-        return _renumber([future.result() for future in futures])  # raises the earliest failure
+        batches = [(BatchRequest(template, tuple(b), batch_size),) for b in chunk(list(items), batch_size)]
+        return _renumber(self._run_all(send, batches))
 
     def summary_fit(self, items: Sequence[str]) -> int:
         """Length of the longest prefix of ``items`` whose Summarize prompt fits.
@@ -444,7 +484,38 @@ class LlmGateway:
         template = self.templates[TaskId.SUMMARIZE]
         req = BatchRequest(template, tuple(items), batch_size=max(len(items), 1))
         prompt = render_prompt(req, self.sampling)
-        return self._pool.submit(self._resend, TaskId.SUMMARIZE, req.items, prompt, parse_summary).result()
+        [summary] = self._run_all(self._resend, [(TaskId.SUMMARIZE, req.items, prompt, parse_summary)])
+        return summary
+
+
+class _Gather:
+    """The results of one call's pool jobs, by index; :meth:`wait` returns
+    them once every job has put its own."""
+
+    def __init__(self, jobs: int):
+        self.results: list = [None] * jobs
+        self.errors: list[Optional[BaseException]] = [None] * jobs
+        self._left = jobs
+        self._lock = threading.Lock()
+        self._done = threading.Event()
+        if not jobs:
+            self._done.set()
+
+    def put(self, index: int, result, error: Optional[BaseException]) -> None:
+        self.results[index], self.errors[index] = result, error
+        with self._lock:
+            self._left -= 1
+            if self._left:
+                return
+        self._done.set()
+
+    def wait(self) -> list:
+        """The results in job order, or the error of the first job that raised."""
+        self._done.wait()
+        for error in self.errors:
+            if error is not None:
+                raise error
+        return self.results
 
 
 def _renumber(batches: list[list[ItemResult]]) -> list[ItemResult]:

@@ -2,7 +2,9 @@
 
 One JSONL log holds both the AI side (verdict, capability analysis, taxonomy
 labels) and the non-AI side; separation is logical, keyed by verdict. Replay
-is last-write-wins per key, so a revised verdict simply appends.
+is last-write-wins per key, so a revised verdict simply appends. Within one
+run, :class:`InputOrder` resolves each key once across apps and keeps the
+writes in input order.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import os
 import threading
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO, Callable, NamedTuple, Optional, Union
+from typing import BinaryIO, Callable, Iterable, NamedTuple, Optional, Union
 
 from .gateway import MalformedJson, summary_payload
 
@@ -265,3 +267,130 @@ class SummaryCache(JsonlLog):
 
     def put(self, digest: str, value: dict) -> None:
         self._put(digest, value, json.dumps({"digest": digest, "value": value}, sort_keys=True))
+
+
+class InputOrder:
+    """Single flight for KB keys across the apps of one run, in input order.
+
+    Apps are ranked by input position, and each acts through its
+    :class:`AppTurn`. Right after its KB lookup an app takes its claim turn,
+    once every earlier app has taken or skipped its own. Its writes (KB lines
+    and summary-cache line) run in input order too, but no app waits for
+    that: they run on its own thread once every earlier app's have, or else
+    on the thread that runs the last of those. An app waits for a key only
+    on the earlier app that claimed it, so no app waits on a later one, and
+    an app that claims no key never waits at all.
+    """
+
+    def __init__(self, apps: int):
+        self._cond = threading.Condition()
+        self._claimed = [False] * apps
+        self._claimed_upto = 0  # every app below this rank has taken its claim turn
+        self._holders: dict[KbKey, AppTurn] = {}  # latest claimant not yet committed
+        self._writes: dict[int, tuple[AppTurn, Callable[[], None]]] = {}  # handed over, not yet run
+        self._committed_upto = 0  # every app below this rank has committed
+        self._writing = False  # a thread is running handed-over writes
+
+    def app(self, rank: int) -> "AppTurn":
+        return AppTurn(self, rank)
+
+    def _pass_claim(self, rank: int) -> None:
+        # Under self._cond.
+        self._claimed[rank] = True
+        while self._claimed_upto < len(self._claimed) and self._claimed[self._claimed_upto]:
+            self._claimed_upto += 1
+        self._cond.notify_all()
+
+    def _hand_over(self, turn: "AppTurn", write: Callable[[], None]) -> None:
+        """Queue ``turn``'s writes, then run every queued write whose turn has
+        come, unless another thread is already doing so. A write that raises
+        is kept as its app's ``write_error``; the later writes still run."""
+        with self._cond:
+            self._writes[turn.rank] = (turn, write)
+            if self._writing:
+                return
+            self._writing = True
+        while True:
+            with self._cond:
+                ready = self._writes.pop(self._committed_upto, None)
+                if ready is None:
+                    self._writing = False
+                    return
+            owner, owner_write = ready
+            try:
+                owner_write()
+            except Exception as exc:  # noqa: BLE001 - may be another app's; its caller reports it
+                log.error("writes of app %d failed: %s", owner.rank, exc)
+                owner.write_error = exc
+            with self._cond:
+                for key in owner._keys:
+                    if self._holders.get(key) is owner:
+                        del self._holders[key]
+                owner._keys = []  # the caller may keep the turn for the whole run
+                self._committed_upto += 1
+                self._cond.notify_all()
+
+
+class AppTurn:
+    """One app's place in an :class:`InputOrder`.
+
+    :meth:`claim` makes the app the latest claimant of each key it will write
+    and names, per key, the earlier app that still holds it; the claimant
+    calls :meth:`wait_committed` on each of those, after which the KB holds
+    what they wrote; :meth:`commit` hands over the app's writes. :meth:`finish`
+    takes whichever of the claim turn and the commit the app has not taken,
+    with no keys and nothing to write, so every exit path of the app must
+    reach it; it is idempotent. ``from_earlier_app`` counts the verdicts this
+    app took from an earlier app's commit, and ``write_error`` is what its
+    writes raised, once they have run.
+    """
+
+    def __init__(self, order: InputOrder, rank: int):
+        self._order = order
+        self.rank = rank
+        self.from_earlier_app = 0
+        self.write_error: Optional[Exception] = None
+        self._keys: list[KbKey] = []
+        self._claimed = False
+        self._handed_over = False
+
+    @staticmethod
+    def alone() -> "AppTurn":
+        """The turn of an app that runs by itself: no claim or commit waits."""
+        return InputOrder(1).app(0)
+
+    def claim(self, keys: Iterable[KbKey]) -> dict[KbKey, "AppTurn"]:
+        """Take the claim turn for ``keys``; no keys passes it without waiting."""
+        order, keys = self._order, list(keys)
+        with order._cond:
+            if keys:
+                order._cond.wait_for(lambda: order._claimed_upto >= self.rank)
+            earlier = {}
+            for key in keys:
+                holder = order._holders.get(key)
+                if holder is not None:
+                    earlier[key] = holder
+                order._holders[key] = self
+            self._keys = keys
+            self._claimed = True
+            order._pass_claim(self.rank)
+        return earlier
+
+    def wait_committed(self) -> None:
+        """Block until this app's writes have run; apps commit in input order."""
+        order = self._order
+        with order._cond:
+            order._cond.wait_for(lambda: order._committed_upto > self.rank)
+
+    def commit(self, write: Callable[[], None]) -> None:
+        """Run ``write`` after every earlier app's writes, on this thread or
+        on another app's; this returns without waiting for that."""
+        if not self._handed_over:
+            self._handed_over = True
+            self._order._hand_over(self, write)
+
+    def finish(self) -> None:
+        """Whatever turn the app has not taken, take with no keys and nothing to write."""
+        if not self._claimed:
+            self.claim(())
+        self.commit(lambda: None)

@@ -16,7 +16,7 @@ from typing import Optional
 
 from .candidates import Candidate, CandidateSet
 from .gateway import BackendUnavailable, ItemResult, LlmGateway, SamplingConfig, TaskId
-from .kb import VERDICT_AI, VERDICT_NON_AI, KbKey, KbRecord, KnowledgeBase
+from .kb import VERDICT_AI, VERDICT_NON_AI, AppTurn, KbKey, KbRecord, KnowledgeBase
 
 log = logging.getLogger(__name__)
 
@@ -100,6 +100,7 @@ def run_pipeline(
     cfg: PipelineConfig,
     kb: KnowledgeBase,
     gateway: LlmGateway,
+    turn: Optional[AppTurn] = None,
 ) -> PipelineResult:
     """Produce exactly one verdict per candidate, in candidate order.
 
@@ -108,35 +109,72 @@ def run_pipeline(
     If the backend goes away mid-run the unresolved candidates are failed
     conservatively and the run is flagged degraded, while KB-resolved
     verdicts are still returned.
+
+    The keys this app will write (misses, and AI hits without labels) are
+    claimed through its ``turn`` in input order; without one the app runs
+    alone. A key that an earlier app of the run holds is not sent again:
+    once that app has committed, its record is read as a KB hit, and the key
+    is resolved here only if it wrote none. The verdicts are then the ones a
+    run of the apps one at a time gives.
     """
+    turn = turn or AppTurn.alone()
     verdicts: list[ComponentVerdict] = []
-    fresh: list[ComponentVerdict] = []
+    # key -> (record seen by the lookup, indexes of its verdicts)
+    pending: dict[KbKey, tuple[Optional[KbRecord], list[int]]] = {}
     for candidate in cand_set.candidates:
-        record = kb.lookup(KbKey.make(candidate.kind, candidate.text))
+        key = KbKey.make(candidate.kind, candidate.text)
+        record = kb.lookup(key)
         if record is None:
             # The conservative verdict stands until this run's Detect call returns.
-            fresh.append(ComponentVerdict(candidate, is_ai=False, rationale=FAILURE_RATIONALE))
-            verdicts.append(fresh[-1])
+            verdict = ComponentVerdict(candidate, is_ai=False, rationale=FAILURE_RATIONALE)
         else:
-            verdicts.append(ComponentVerdict(
-                candidate=candidate,
-                is_ai=record.verdict == VERDICT_AI,
-                analysis=record.analysis,
-                rationale=f"Reused prior verdict from knowledge base (model {record.model_id})",
-                provenance=PROVENANCE_KB,
-                domain=record.domain,
-                task=record.task,
-            ))
+            verdict = _reused(candidate, record)
+            if record.verdict != VERDICT_AI or (record.domain and record.task):
+                verdicts.append(verdict)
+                continue
+        pending.setdefault(key, (record, []))[1].append(len(verdicts))
+        verdicts.append(verdict)
 
     warnings: list[str] = []
-    degraded = False
-    try:
-        if fresh:
-            _run_fresh(fresh, cfg, gateway)
-    except BackendUnavailable as exc:
-        degraded = True
-        warnings.append(f"backend unavailable mid-run: {exc}")
-    return PipelineResult(verdicts=verdicts, degraded=degraded, warnings=warnings)
+
+    def settle(keys: list[KbKey]) -> None:
+        # Take what an earlier app wrote since the lookup, then send the misses
+        # left together, in candidate order, unless the backend went away.
+        fresh: list[int] = []
+        for key in keys:
+            seen, indexes = pending[key]
+            record = kb.records.get(key)  # a check of the store, not a verdict lookup
+            if record is None:
+                fresh += indexes
+            elif record is not seen:
+                for i in indexes:
+                    verdicts[i] = _reused(verdicts[i].candidate, record)
+                turn.from_earlier_app += len(indexes)
+        if fresh and not warnings:
+            try:
+                _run_fresh([verdicts[i] for i in sorted(fresh)], cfg, gateway)
+            except BackendUnavailable as exc:
+                warnings.append(f"backend unavailable mid-run: {exc}")
+
+    earlier = turn.claim(pending)
+    settle([key for key in pending if key not in earlier])
+    if earlier:
+        for holder in set(earlier.values()):
+            holder.wait_committed()
+        settle(list(earlier))
+    return PipelineResult(verdicts=verdicts, degraded=bool(warnings), warnings=warnings)
+
+
+def _reused(candidate: Candidate, record: KbRecord) -> ComponentVerdict:
+    return ComponentVerdict(
+        candidate=candidate,
+        is_ai=record.verdict == VERDICT_AI,
+        analysis=record.analysis,
+        rationale=f"Reused prior verdict from knowledge base (model {record.model_id})",
+        provenance=PROVENANCE_KB,
+        domain=record.domain,
+        task=record.task,
+    )
 
 
 def _run_fresh(fresh: list[ComponentVerdict], cfg: PipelineConfig, gateway: LlmGateway) -> None:

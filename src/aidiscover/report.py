@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence, Union
 from .apk import open_apk
 from .candidates import CandidateSet, extract_candidates
 from .gateway import LlmGateway
-from .kb import KnowledgeBase, SummaryCache, utc_now
+from .kb import AppTurn, KnowledgeBase, SummaryCache, utc_now
 from .pipeline import (
     ComponentVerdict,
     PipelineConfig,
@@ -58,8 +58,12 @@ def summarize_with_cache(
     gateway: LlmGateway,
     cache: Optional[SummaryCache],
     audience: str,
-) -> AiServiceReport:
-    """summarize_app with a digest-keyed reuse cache; failures are not cached."""
+) -> tuple[AiServiceReport, Optional[str]]:
+    """summarize_app with a digest-keyed reuse cache.
+
+    Returns the report and the digest to store it under, or None when there
+    is nothing new to cache: a hit, no cache, no AI component, or a failure.
+    """
     digest = _summary_digest(app_id, ai_verdicts, audience)
     if cache is not None and ai_verdicts:
         hit = cache.get(digest)
@@ -69,11 +73,11 @@ def summarize_with_cache(
                 summary=hit["summary"],
                 capabilities=list(hit["capabilities"]),
                 kind_counts=dict(Counter(v.candidate.kind for v in ai_verdicts)),
-            )
+            ), None
     report = summarize_app(app_id, ai_verdicts, gateway)
-    if cache is not None and ai_verdicts and not report.degraded:
-        cache.put(digest, {"summary": report.summary, "capabilities": report.capabilities})
-    return report
+    if cache is None or not ai_verdicts or report.degraded:
+        return report, None
+    return report, digest
 
 
 def analyze_app(
@@ -86,24 +90,42 @@ def analyze_app(
     app_id: Optional[str] = None,
     model_suffixes: Optional[tuple[str, ...]] = None,
     clock: Callable[[], datetime] = utc_now,
+    turn: Optional[AppTurn] = None,
 ) -> dict:
     """Full single-app run: extract, prefilter, verdicts, labels, summary.
 
-    Returns the report document (JSON-serializable dict).
+    Returns the report document (JSON-serializable dict). The app claims
+    its keys through its ``turn`` in input order (see ``run_pipeline``; none
+    means the app runs alone), its backend requests are queued at the turn's
+    rank, and its KB lines and summary-cache line are written in input order
+    too, perhaps after it returns; what they raise lands in
+    ``turn.write_error``. Every exit path, an exception included, finishes
+    the turn, so later apps never wait on a failed one.
     """
     apk_path = Path(apk_path)
     app_id = app_id or apk_path.stem
+    turn = turn or AppTurn.alone()
 
-    with open_apk(apk_path) as archive:
-        cand_set = extract_candidates(archive, app_id, model_suffixes)
-    filtered = apply_whitelist(cand_set, whitelist)
+    try:
+        gateway = gateway.for_app(turn.rank)
+        with open_apk(apk_path) as archive:
+            cand_set = extract_candidates(archive, app_id, model_suffixes)
+        filtered = apply_whitelist(cand_set, whitelist)
 
-    run = run_pipeline(filtered, cfg, kb, gateway)
-    ai_verdicts = [v for v in run.verdicts if v.is_ai]
+        run = run_pipeline(filtered, cfg, kb, gateway, turn)
+        ai_verdicts = [v for v in run.verdicts if v.is_ai]
 
-    labels = classify_components(ai_verdicts, gateway, cfg.batch_size)
-    write_back(run, kb, gateway.model_id)
-    service = summarize_with_cache(app_id, ai_verdicts, gateway, summary_cache, cfg.audience)
+        labels = classify_components(ai_verdicts, gateway, cfg.batch_size)
+        service, digest = summarize_with_cache(app_id, ai_verdicts, gateway, summary_cache, cfg.audience)
+
+        def write() -> None:
+            write_back(run, kb, gateway.model_id)
+            if digest is not None:
+                summary_cache.put(digest, {"summary": service.summary, "capabilities": service.capabilities})
+
+        turn.commit(write)
+    finally:
+        turn.finish()
     if labels:
         service.app_label = classify_app(labels)
 

@@ -483,3 +483,49 @@ class TestConcurrentDispatch:
             sys.setswitchinterval(interval)
         assert all([r.item_index for r in result] == list(range(60)) for result in results)
         assert gateway.call_count == gateway.call_counts[TaskId.DETECT] == 3 * 20
+
+
+class TestEarliestAppFirst:
+    def test_queued_requests_run_by_app_rank_then_submission_order(self):
+        class HeldBackend:
+            """Holds the request for ``hold`` until released; records the others' order."""
+
+            model_id = "held"
+
+            def __init__(self):
+                self.inner = MockBackend()
+                self.holding = threading.Event()
+                self.release = threading.Event()
+                self.order = []
+
+            def complete(self, request):
+                if request.items == ("hold",):
+                    self.holding.set()
+                    self.release.wait(5)
+                else:
+                    self.order.append(request.items[0])
+                return self.inner.complete(request)
+
+        backend = HeldBackend()
+        gateway = make_gateway(backend, max_in_flight=1)
+
+        def queued(count: int) -> None:
+            deadline = time.monotonic() + 5
+            while len(gateway._queue) < count:
+                assert time.monotonic() < deadline, "requests were not queued"
+                time.sleep(0.001)
+
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            held = callers.submit(gateway.for_app(0).run_items, TaskId.DETECT, ["hold"], 1)
+            assert backend.holding.wait(5)
+            late = callers.submit(gateway.for_app(7).run_items, TaskId.DETECT, ["late0", "late1"], 1)
+            queued(2)
+            summary = callers.submit(gateway.for_app(7).run_summary, ["late2 :: speech recognition"])
+            queued(3)
+            early = callers.submit(gateway.for_app(2).run_items, TaskId.DETECT, ["early0", "early1"], 1)
+            queued(5)
+            backend.release.set()
+            for future in (held, late, summary, early):
+                future.result(timeout=5)
+        assert backend.order == ["early0", "early1", "late0", "late1", "late2 :: speech recognition"]
+        assert gateway.call_counts == {TaskId.DETECT: 5, TaskId.SUMMARIZE: 1}

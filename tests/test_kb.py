@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from aidiscover.kb import (
     VERDICT_AI,
     VERDICT_NON_AI,
+    InputOrder,
     KbKey,
     KbRecord,
     KnowledgeBase,
@@ -396,3 +397,88 @@ def test_append_handle_stays_open_until_close(tmp_path):
     kb.insert(ai_record(text="com.third"))  # reopens lazily
     kb.close()
     assert len(kb_sync(path).records) == 3
+
+
+def _in_thread(fn, *args):
+    """Start ``fn(*args)``; returns the thread and a dict that gets its result."""
+    outcome = {}
+    thread = threading.Thread(target=lambda: outcome.setdefault("result", fn(*args)), daemon=True)
+    thread.start()
+    return thread, outcome
+
+
+class TestInputOrder:
+    K1, K2, K3 = (KbKey.make("Package", f"com.k{i}") for i in range(3))
+
+    def test_a_claim_waits_for_every_earlier_claim_turn(self):
+        order = InputOrder(3)
+        first, second, third = (order.app(rank) for rank in range(3))
+        assert third.claim([]) == {}  # nothing to claim: no wait, even before rank 0
+        thread, outcome = _in_thread(second.claim, [self.K1])
+        thread.join(0.05)
+        assert thread.is_alive()
+        first.claim([])
+        thread.join(5)
+        assert outcome["result"] == {}
+
+    def test_each_claimant_is_told_the_latest_earlier_holder(self):
+        order = InputOrder(3)
+        first, second, third = (order.app(rank) for rank in range(3))
+        assert first.claim([self.K1, self.K2]) == {}
+        assert second.claim([self.K2, self.K3]) == {self.K2: first}
+        assert third.claim([self.K1, self.K2]) == {self.K1: first, self.K2: second}
+        first.finish()
+        second.finish()
+        first.wait_committed()  # each returns at once: both committed
+        second.wait_committed()
+        assert order._holders == {self.K1: third, self.K2: third}
+
+    def test_a_failed_app_hands_its_keys_on_when_its_turn_comes(self):
+        order = InputOrder(3)
+        first, second, third = (order.app(rank) for rank in range(3))
+        first.claim([])
+        second.claim([self.K1])
+        assert third.claim([self.K1]) == {self.K1: second}
+        waiter, _ = _in_thread(second.wait_committed)
+        second.finish()  # the second app failed before it wrote anything
+        waiter.join(0.05)
+        assert waiter.is_alive()  # its commit still waits for the first app's
+        first.finish()
+        waiter.join(5)
+        assert not waiter.is_alive()
+        assert order._holders == {self.K1: third}
+        second.finish()  # idempotent
+
+    def test_writes_run_in_input_order_and_no_app_waits_for_them(self):
+        order = InputOrder(3)
+        turns = [order.app(rank) for rank in range(3)]
+        written = []
+        for turn in (turns[2], turns[1]):  # later apps hand over first, and return at once
+            turn.claim([])
+            turn.commit(lambda rank=turn.rank: written.append(rank))
+        assert written == []
+        turns[0].finish()  # an app that failed: no writes, but it frees the others'
+        assert written == [1, 2]
+        for turn in turns:
+            turn.finish()
+        assert written == [1, 2]
+
+    def test_a_failed_write_is_kept_on_its_app_and_the_later_writes_still_run(self):
+        order = InputOrder(3)
+        turns = [order.app(rank) for rank in range(3)]
+        written = []
+
+        def fail():
+            raise ValueError("bad record")
+
+        turns[0].claim([])
+        turns[1].claim([self.K1])
+        assert turns[2].claim([self.K1]) == {self.K1: turns[1]}
+        turns[2].commit(lambda: written.append(2))
+        turns[1].commit(fail)
+        turns[0].finish()  # runs all three writes on this thread
+        assert written == [2]
+        assert isinstance(turns[1].write_error, ValueError)
+        assert turns[0].write_error is None and turns[2].write_error is None
+        turns[2].wait_committed()
+        assert order._holders == {}

@@ -1,5 +1,6 @@
 import inspect
 import json
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,7 +9,7 @@ from aidiscover.backends import MockBackend
 from aidiscover.candidates import Candidate, CandidateKind, CandidateSet
 from aidiscover.curation import curate
 from aidiscover.gateway import BackendUnavailable, TaskId
-from aidiscover.kb import VERDICT_AI, VERDICT_NON_AI, KbKey, KbRecord, KnowledgeBase, kb_sync
+from aidiscover.kb import VERDICT_AI, VERDICT_NON_AI, InputOrder, KbKey, KbRecord, KnowledgeBase, kb_sync
 from aidiscover.pipeline import (
     FAILURE_RATIONALE,
     PROVENANCE_FRESH,
@@ -208,6 +209,30 @@ class TestRunPipeline:
         assert result.verdicts[1].rationale == FAILURE_RATIONALE
         write_back(result, kb, dead_gateway.model_id)
         assert kb.lookup(result.verdicts[1].kb_key()) is None
+
+    def test_a_degraded_app_still_reads_what_earlier_apps_wrote(self):
+        kb = KnowledgeBase()
+        order = InputOrder(2)
+        first, second = order.app(0), order.app(1)
+        shared = KbKey.make(CandidateKind.PACKAGE, "com.shared.ai")
+        first.claim([shared])  # an earlier app is resolving the shared key
+        dead_gateway = make_gateway(ScriptedBackend([BackendUnavailable("down")] * 5))
+        outcome = {}
+        thread = threading.Thread(target=lambda: outcome.setdefault("run", run_pipeline(
+            cand_set(["com.shared.ai", "com.own.thing"]), PipelineConfig(), kb, dead_gateway, second
+        )), daemon=True)
+        thread.start()
+        thread.join(0.05)
+        assert thread.is_alive()  # its own key failed; it waits for the shared one
+        kb.insert(KbRecord(key=shared, verdict=VERDICT_AI, analysis="shared", model_id="mock"))
+        first.finish()
+        thread.join(5)
+        result = outcome["run"]
+        assert result.degraded is True
+        hit, own = result.verdicts
+        assert (hit.is_ai, hit.analysis, hit.provenance) == (True, "shared", PROVENANCE_KB)
+        assert (own.is_ai, own.rationale) == (False, FAILURE_RATIONALE)
+        assert second.from_earlier_app == 1
 
     def test_backend_failure_mid_dispatch_degrades(self):
         kb = KnowledgeBase()
