@@ -30,6 +30,7 @@ from .report import (
     write_report,
 )
 from .taxonomy import AppAggregate, CorpusStats, aggregate_stats, label_of
+from .utf8 import holds_surrogate
 from .whitelist import EmptyWhitelist, Whitelist, load_whitelist
 
 log = logging.getLogger(__name__)
@@ -170,6 +171,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     paths_by_id: dict[str, str] = {}
     for apk_path in args.apks:
         app_id = Path(apk_path).stem
+        if holds_surrogate(app_id):
+            print(f"error: app id {app_id!r} of {apk_path!r} is not valid UTF-8", file=sys.stderr)
+            return EXIT_USAGE
         if app_id in paths_by_id:
             print(
                 f"error: app id {app_id!r} names both {paths_by_id[app_id]} and {apk_path}",
@@ -241,6 +245,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "backend_calls": gateway.call_count,
         "backend_calls_by_task": dict(gateway.call_counts),
         "failed": sum(1 for e in entries if e["status"] == "error"),
+        "kb": kb.health(),
+        "summary_cache": cache.health(),
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

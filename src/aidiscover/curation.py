@@ -14,6 +14,7 @@ from typing import Optional, Sequence, Union
 from .gateway import GatewayError, LlmGateway, TaskId
 from .listfile import parse_list, read_list
 from .pipeline import PipelineConfig
+from .utf8 import NOT_UTF8, decodes_to_surrogate
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +60,8 @@ def load_keywords(path: Union[str, Path, None] = None) -> KeywordList:
 def load_descriptions(path: Union[str, Path]) -> list[AppDescription]:
     """Read line-delimited JSON records (package_name, text, release_date)."""
     out: list[AppDescription] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 decodes to a lone surrogate, refused with its row.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -68,6 +70,8 @@ def load_descriptions(path: Union[str, Path]) -> list[AppDescription]:
                 payload = json.loads(line)
                 if not isinstance(payload, dict):
                     raise ValueError("not a JSON object")
+                if decodes_to_surrogate(line, payload):
+                    raise ValueError(NOT_UTF8)
                 name, text = payload.get("package_name"), payload.get("text", "")
                 released = payload.get("release_date")
                 if not (isinstance(name, str) and isinstance(text, str)

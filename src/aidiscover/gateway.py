@@ -23,6 +23,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence, TypeVar
 
+from .utf8 import NOT_UTF8, decodes_to_surrogate
+
 log = logging.getLogger(__name__)
 
 T = TypeVar("T")
@@ -60,7 +62,6 @@ class TaskId:
     DESCRIPTION_SCREEN = "DescriptionScreen"
 
     ARRAY_TASKS = (ANALYZE, DETECT, CLASSIFY_TAXONOMY, DESCRIPTION_SCREEN)
-    FEW_SHOT_REQUIRED = ARRAY_TASKS
 
 
 @dataclass(frozen=True)
@@ -89,23 +90,8 @@ class PromptTemplate:
     few_shot: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        if self.task_id in TaskId.FEW_SHOT_REQUIRED and len(self.few_shot) < 1:
+        if self.task_id in TaskId.ARRAY_TASKS and len(self.few_shot) < 1:
             raise ValueError(f"{self.task_id} template requires at least one example")
-
-
-@dataclass(frozen=True)
-class BatchRequest:
-    """One backend call: a template and at most batch_size item texts."""
-
-    template: PromptTemplate
-    items: tuple[str, ...]
-    batch_size: int = 3
-
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be positive: {self.batch_size}")
-        if not 1 <= len(self.items) <= self.batch_size:
-            raise ValueError(f"items length {len(self.items)} not in [1, {self.batch_size}]")
 
 
 @dataclass
@@ -172,6 +158,8 @@ _CHARS_PER_TOKEN = 4
 _OUTPUT_TOKENS_PER_ITEM = 128
 _CONTEXT_SAFETY = 0.8
 
+_RATE_LIMIT_RETRIES = 5  # resends of a request the backend refused as rate limited
+
 
 def estimate_tokens(prompt: str, items: Sequence[str]) -> int:
     prompt_tokens = len(prompt) // _CHARS_PER_TOKEN
@@ -179,31 +167,30 @@ def estimate_tokens(prompt: str, items: Sequence[str]) -> int:
     return prompt_tokens + echo_tokens + _OUTPUT_TOKENS_PER_ITEM * len(items)
 
 
-def render_prompt(req: BatchRequest, sampling: Optional[SamplingConfig] = None) -> str:
+def render_prompt(template: PromptTemplate, items: Sequence[str], sampling: SamplingConfig) -> str:
     """Compose instruction, examples, numbered items, and the schema directive.
 
     Raises:
         ContextOverflow: the estimate exceeds the context budget; the caller
             must split the batch.
     """
-    sampling = sampling or SamplingConfig()
-    lines = [req.template.instruction.rstrip()]
-    if req.template.few_shot:
+    lines = [template.instruction.rstrip()]
+    if template.few_shot:
         lines.append("")
         lines.append("Examples:")
-        for example_in, example_out in req.template.few_shot:
+        for example_in, example_out in template.few_shot:
             lines.append(f"Input: {example_in}")
             lines.append(f"Output: {example_out}")
     lines.append("")
     lines.append("Items:")
-    for number, item in enumerate(req.items, start=1):
+    for number, item in enumerate(items, start=1):
         lines.append(f"{number}. {item}")
     lines.append("")
-    lines.append(_SCHEMA_DIRECTIVES[req.template.task_id])
+    lines.append(_SCHEMA_DIRECTIVES[template.task_id])
     prompt = "\n".join(lines)
 
     budget = int(sampling.max_context_tokens * _CONTEXT_SAFETY)
-    estimate = estimate_tokens(prompt, req.items)
+    estimate = estimate_tokens(prompt, items)
     if estimate > budget:
         raise ContextOverflow(f"estimated {estimate} tokens over budget {budget}")
     return prompt
@@ -211,17 +198,20 @@ def render_prompt(req: BatchRequest, sampling: Optional[SamplingConfig] = None) 
 
 def _extract_json(raw: str, opener: str, closer: str):
     try:
-        return json.loads(raw)
+        data = json.loads(raw)
     except json.JSONDecodeError:
-        pass
-    start = raw.find(opener)
-    end = raw.rfind(closer)
-    if start < 0 or end <= start:
-        raise MalformedJson(f"no JSON {opener}...{closer} in response")
-    try:
-        return json.loads(raw[start : end + 1])
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"unparseable response: {exc}") from exc
+        start = raw.find(opener)
+        end = raw.rfind(closer)
+        if start < 0 or end <= start:
+            raise MalformedJson(f"no JSON {opener}...{closer} in response")
+        raw = raw[start : end + 1]
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise MalformedJson(f"unparseable response: {exc}") from exc
+    if decodes_to_surrogate(raw, data):
+        raise MalformedJson(NOT_UTF8)
+    return data
 
 
 _REQUIRED_FIELDS = {
@@ -259,6 +249,8 @@ def parse_aligned(task_id: str, raw: str, item_count: int) -> list[dict]:
             # bool is an int subtype; keep the check strict both ways.
             if not isinstance(value, typ) or (typ is not bool and isinstance(value, bool)):
                 raise MalformedJson(f"field {name!r} missing or mistyped in {element!r}")
+        if task_id == TaskId.ANALYZE and not element["analysis"].strip():
+            raise MalformedJson(f"blank analysis in {element!r}")
     return [by_index[i] for i in range(item_count)]
 
 
@@ -302,7 +294,6 @@ class LlmGateway:
         sampling: Optional[SamplingConfig] = None,
         retry_budget: int = 2,
         max_in_flight: int = 4,
-        rate_limit_retries: int = 5,
         sleeper: Callable[[float], None] = time.sleep,
     ):
         if max_in_flight < 1:
@@ -310,10 +301,10 @@ class LlmGateway:
         if retry_budget < 0:
             raise ValueError(f"retry_budget must be >= 0, got {retry_budget}")
         self.backend = backend
+        self.model_id = backend.model_id
         self.templates = templates
         self.sampling = sampling or SamplingConfig()
         self.retry_budget = retry_budget
-        self.rate_limit_retries = rate_limit_retries
         self.sleeper = sleeper
         self.call_counts: Counter[str] = Counter()
         self._counter_lock = threading.Lock()
@@ -346,16 +337,13 @@ class LlmGateway:
         # One token per queued call, so the heap is never empty here.
         with self._queue_lock:
             _, _, fn, args, gather, index = heapq.heappop(self._queue)
-        try:
-            result = fn(*args)
-        except BaseException as exc:  # noqa: BLE001 - raised again by gather.wait
-            gather.put(index, None, exc)
-        else:
-            gather.put(index, result, None)
-
-    @property
-    def model_id(self) -> str:
-        return self.backend.model_id
+        result = error = None
+        if not gather.failed:  # else another job of the same call raised: skip this one
+            try:
+                result = fn(*args)
+            except BaseException as exc:  # noqa: BLE001 - raised again by gather.wait
+                error = exc
+        gather.put(index, result, error)
 
     @property
     def call_count(self) -> int:
@@ -364,18 +352,17 @@ class LlmGateway:
 
     def _complete(self, task_id: str, items: tuple[str, ...], prompt: str) -> str:
         request = RenderedRequest(task_id=task_id, items=items, prompt=prompt, sampling=self.sampling)
-        delay = 1.0
-        for attempt in range(self.rate_limit_retries + 1):
+        for attempt in range(_RATE_LIMIT_RETRIES + 1):
             with self._counter_lock:
                 self.call_counts[task_id] += 1
             try:
                 return self.backend.complete(request)
             except RateLimited:
-                if attempt == self.rate_limit_retries:
+                if attempt == _RATE_LIMIT_RETRIES:
                     raise BackendUnavailable("rate limited past retry budget")
+                delay = 2.0**attempt  # 1 s, doubling at each resend
                 log.info("rate limited; backing off %.0fs", delay)
                 self.sleeper(delay)
-                delay = min(delay * 2, 30.0)
         raise BackendUnavailable("unreachable")  # pragma: no cover
 
     def _resend(self, task_id: str, items: tuple[str, ...], prompt: str, parse: Callable[[str], T]) -> T:
@@ -391,7 +378,7 @@ class LlmGateway:
                 log.warning("%s request of %d items failed (%s); retrying", task_id, len(items), exc)
         raise failure  # type: ignore[misc]
 
-    def run_batch(self, req: BatchRequest) -> list[ItemResult]:
+    def run_batch(self, template: PromptTemplate, items: tuple[str, ...]) -> list[ItemResult]:
         """One aligned result per item, in item order.
 
         Parse or alignment failures retry the whole batch, then fall back to
@@ -400,50 +387,38 @@ class LlmGateway:
         a single item that alone overflows is failed.
         """
         try:
-            prompt = render_prompt(req, self.sampling)
+            prompt = render_prompt(template, items, self.sampling)
         except ContextOverflow as exc:
-            if len(req.items) == 1:
+            if len(items) == 1:
                 log.warning("item does not fit context alone: %s", exc)
                 return [ItemResult(0, None, error=f"ContextOverflow: {exc}")]
-            mid = (len(req.items) + 1) // 2
-            halves = (req.items[:mid], req.items[mid:])
-            return _renumber([self.run_batch(BatchRequest(req.template, h, req.batch_size)) for h in halves])
+            mid = (len(items) + 1) // 2
+            halves = (items[:mid], items[mid:])
+            return _renumber([self.run_batch(template, half) for half in halves])
 
-        task_id = req.template.task_id
+        task_id = template.task_id
         try:
             payloads = self._resend(
-                task_id, req.items, prompt, lambda raw: parse_aligned(task_id, raw, len(req.items))
+                task_id, items, prompt, lambda raw: parse_aligned(task_id, raw, len(items))
             )
             return [ItemResult(i, payload) for i, payload in enumerate(payloads)]
         except (MalformedJson, MisalignedOutput) as failure:
-            if len(req.items) == 1:
+            if len(items) == 1:
                 return [ItemResult(0, None, error=f"{type(failure).__name__}: {failure}")]
             log.warning("falling back to singleton batches after: %s", failure)
-        singles = [BatchRequest(req.template, (item,), req.batch_size) for item in req.items]
-        return _renumber([self.run_batch(single) for single in singles])
+        return _renumber([self.run_batch(template, (item,)) for item in items])
 
     def run_items(self, task_id: str, items: Sequence[str], batch_size: int = 3) -> list[ItemResult]:
         """Chunk items and run every batch; results keep global input order.
 
         Batches run on the gateway's pool, each with its whole retry ladder
-        on the worker that sent it. Once a batch raises, no further batch of
-        this call starts, and the failure of the earliest batch in input
-        order is raised.
+        on the worker that sent it. Once a batch raises, the pool starts no
+        further batch of this call, and the failure of the earliest batch in
+        input order is raised.
         """
         template = self.templates[task_id]
-        stop = threading.Event()
-
-        def send(req: BatchRequest) -> Optional[list[ItemResult]]:
-            if stop.is_set():
-                return None  # cancelled by an earlier failure
-            try:
-                return self.run_batch(req)
-            except BaseException:
-                stop.set()
-                raise
-
-        batches = [(BatchRequest(template, tuple(b), batch_size),) for b in chunk(list(items), batch_size)]
-        return _renumber(self._run_all(send, batches))
+        batches = [(template, tuple(b)) for b in chunk(items, batch_size)]
+        return _renumber(self._run_all(self.run_batch, batches))
 
     def summary_fit(self, items: Sequence[str]) -> int:
         """Length of the longest prefix of ``items`` whose Summarize prompt fits.
@@ -457,9 +432,8 @@ class LlmGateway:
         template = self.templates[TaskId.SUMMARIZE]
 
         def fits(n: int) -> bool:
-            req = BatchRequest(template, tuple(items[:n]), batch_size=n)
             try:
-                render_prompt(req, self.sampling)
+                render_prompt(template, items[:n], self.sampling)
             except ContextOverflow:
                 return False
             return True
@@ -481,21 +455,22 @@ class LlmGateway:
         Raises ContextOverflow instead of splitting: the caller ranks the
         lines and sends the prefix that ``summary_fit`` accepts.
         """
-        template = self.templates[TaskId.SUMMARIZE]
-        req = BatchRequest(template, tuple(items), batch_size=max(len(items), 1))
-        prompt = render_prompt(req, self.sampling)
-        [summary] = self._run_all(self._resend, [(TaskId.SUMMARIZE, req.items, prompt, parse_summary)])
+        items = tuple(items)
+        prompt = render_prompt(self.templates[TaskId.SUMMARIZE], items, self.sampling)
+        [summary] = self._run_all(self._resend, [(TaskId.SUMMARIZE, items, prompt, parse_summary)])
         return summary
 
 
 class _Gather:
     """The results of one call's pool jobs, by index; :meth:`wait` returns
-    them once every job has put its own."""
+    them once every job has put its own. ``failed`` is set once a job has
+    raised, and the dispatcher then skips the call's jobs still queued."""
 
     def __init__(self, jobs: int):
         self.results: list = [None] * jobs
         self.errors: list[Optional[BaseException]] = [None] * jobs
         self._left = jobs
+        self.failed = False
         self._lock = threading.Lock()
         self._done = threading.Event()
         if not jobs:
@@ -503,6 +478,8 @@ class _Gather:
 
     def put(self, index: int, result, error: Optional[BaseException]) -> None:
         self.results[index], self.errors[index] = result, error
+        if error is not None:
+            self.failed = True
         with self._lock:
             self._left -= 1
             if self._left:

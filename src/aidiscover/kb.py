@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, NamedTuple, Optional, Union
 
 from .gateway import MalformedJson, summary_payload
+from .utf8 import NOT_UTF8, decodes_to_surrogate
 
 log = logging.getLogger(__name__)
 
@@ -105,6 +106,10 @@ class KbRecord(NamedTuple):
         payload, end = _raw_decode(line)
         if end != len(line):
             raise ValueError("extra data after the record")
+        # Only a backslash or a non-ASCII character can make a surrogate; the
+        # test is inline because it runs on every replayed line.
+        if ("\\" in line or not line.isascii()) and decodes_to_surrogate(line, payload):
+            raise ValueError(NOT_UTF8)
         kind, text, verdict = payload["kind"], payload["text"], payload["verdict"]
         created_at = payload["created_at"]
         analysis, domain, task = payload.get("analysis"), payload.get("domain"), payload.get("task")
@@ -134,14 +139,14 @@ class KbRecord(NamedTuple):
 class JsonlLog:
     """Keyed, append-only JSONL file shared by the KB and the summary cache.
 
-    Replay is last-write-wins per key; lines that fail to decode are skipped
-    with a warning and counted, never fatal. The append handle opens on the
-    first append and stays open until :meth:`close`; if the file then ends in
-    a torn line, a newline is written first so the next line starts fresh.
-    Each append is one ``write()`` and a ``flush()`` under a lock, so
-    concurrent workers can share a single instance. On storage failure the
-    entry stays visible in memory and the log flips to degraded mode rather
-    than failing the caller.
+    Replay is last-write-wins per key; a line that is not UTF-8 or fails to
+    decode is skipped with a warning and counted, never fatal. The append
+    handle opens on the first append and stays open until :meth:`close`; if
+    the file then ends in a torn line, a newline is written first so the next
+    line starts fresh. Each append is one ``write()`` and a ``flush()`` under
+    a lock, so concurrent workers can share a single instance. On storage
+    failure the entry stays visible in memory and the log flips to degraded
+    mode rather than failing the caller; :meth:`health` reports both.
     """
 
     def __init__(self, path: Union[str, Path, None]):
@@ -153,10 +158,15 @@ class JsonlLog:
         self._fh: Optional[BinaryIO] = None
 
     def replay(self, decode: Callable[[str], tuple]) -> None:
-        """Load ``(key, value) = decode(line)`` for every line; a missing file is empty."""
+        """Load ``(key, value) = decode(line)`` for every line; a missing file is empty.
+
+        A byte that is not UTF-8 reaches ``decode`` as a lone surrogate, which
+        it must refuse, so such a byte, a torn multi-byte tail included, costs
+        only its own line.
+        """
         if self.path is None or not self.path.exists():
             return
-        with open(self.path, "r", encoding="utf-8") as fh:
+        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -168,6 +178,10 @@ class JsonlLog:
                     log.warning("%s:%d: skipping corrupt line (%s)", self.path, lineno, exc)
                     continue
                 self.records[key] = value
+
+    def health(self) -> dict:
+        """Lines replay skipped, and whether an append has failed since."""
+        return {"corrupt_lines": self.corrupt_lines, "append_failed": self.degraded}
 
     def _open(self) -> BinaryIO:
         fh = open(self.path, "a+b")  # positioned at the end
@@ -244,6 +258,8 @@ def kb_sync(path: Union[str, Path, None], clock: Callable[[], datetime] = utc_no
 
 def _summary_entry(line: str) -> tuple[str, dict]:
     payload = json.loads(line)
+    if decodes_to_surrogate(line, payload):
+        raise ValueError(NOT_UTF8)
     if not isinstance(payload["digest"], str):
         raise ValueError("digest must be a string")
     try:

@@ -1,0 +1,37 @@
+"""The one rule for text that must round-trip through a UTF-8 file.
+
+A str can hold a lone surrogate code point (U+D800..U+DFFF): a JSON escape
+such as ``\\ud800`` decodes to one, and so does a byte that is not UTF-8,
+in a POSIX file name or in a file read with ``errors="surrogateescape"``.
+No UTF-8 file can hold one (RFC 3629 section 3), so a report, KB line or
+summary-cache line built from such text cannot be written. Each input
+boundary refuses it: backend replies, replayed log lines, description rows
+and APK paths.
+"""
+
+from __future__ import annotations
+
+import json
+import re
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+NOT_UTF8 = "not UTF-8: a lone surrogate, escaped or from a byte UTF-8 cannot decode"
+
+
+def holds_surrogate(text: str) -> bool:
+    """Whether ``text`` holds a surrogate code point; ASCII text costs one scan."""
+    return not text.isascii() and _SURROGATE.search(text) is not None
+
+
+def decodes_to_surrogate(raw: str, data) -> bool:
+    """Whether ``data``, decoded by ``json`` from ``raw``, holds a surrogate.
+
+    Without a backslash, ``raw`` holds no ``\\u`` escape, so the surrogate
+    would be in ``raw`` itself; only text with one is encoded again. The
+    one-character search is a ``memchr``, several times faster than one for
+    ``"\\u"``.
+    """
+    if "\\" in raw:
+        raw = json.dumps(data, ensure_ascii=False)
+    return holds_surrogate(raw)

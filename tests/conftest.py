@@ -6,13 +6,17 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from aidiscover.backends import MockBackend
 from aidiscover.gateway import LlmGateway
 from aidiscover.prompts import load_templates
 
 from helpers import DexBuilder, build_apk, build_elf64
+
+# A deeper search for boundary regressions that a default run draws only now
+# and then: python -m pytest tests/test_report.py --hypothesis-profile=deep
+settings.register_profile("deep", max_examples=1000, deadline=None)
 
 OPENAI_BASE_URL = "https://api.openai.com/v1/"
 OPENAI_CHAT_URL = "https://api.openai.com/v1/chat/completions"

@@ -1,10 +1,11 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from aidiscover import candidates, cli
-from aidiscover.kb import VERDICT_AI, VERDICT_NON_AI, KbKey, KbRecord, kb_sync
+from aidiscover.kb import VERDICT_AI, VERDICT_NON_AI, JsonlLog, KbKey, KbRecord, kb_sync
 from aidiscover.pipeline import PipelineConfig
 from aidiscover.report import iter_report_paths, read_report
 
@@ -67,6 +68,44 @@ class TestAnalyze:
         assert "'app'" in err and str(first) in err and str(second) in err
         assert not out_dir.exists()
         assert not (tmp_path / "reports.kb.jsonl").exists()
+
+    def test_an_apk_name_that_is_not_utf8_is_refused(self, tmp_path, fixture_corpus, capsys):
+        apks, _, _ = fixture_corpus
+        # A POSIX file name byte that is not UTF-8 reaches Python as a lone surrogate.
+        odd = tmp_path / os.fsdecode(b"caf\xe9.apk")
+        odd.write_bytes(Path(apks[0]).read_bytes())
+        code, out_dir = analyze(tmp_path, [apks[0], odd])
+        assert code == cli.EXIT_USAGE
+        assert "not valid UTF-8" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert not (tmp_path / "reports.kb.jsonl").exists()
+
+    def test_manifest_reports_kb_and_summary_cache_health(self, tmp_path, fixture_corpus):
+        apks, _, _ = fixture_corpus
+        _, cold = analyze(tmp_path, apks[:2], out="cold")
+        manifest = json.loads((cold / "manifest.json").read_text())
+        assert manifest["kb"] == manifest["summary_cache"] == {"corrupt_lines": 0, "append_failed": False}
+
+        with open(tmp_path / "cold.kb.jsonl", "a", encoding="utf-8") as fh:
+            fh.write("{not a record\n")
+        warm = tmp_path / "warm"
+        assert run_cli("analyze", "--kb", tmp_path / "cold.kb.jsonl", "--out", warm, *apks[:2]) == cli.EXIT_OK
+        manifest = json.loads((warm / "manifest.json").read_text())
+        assert manifest["kb"] == {"corrupt_lines": 1, "append_failed": False}
+        assert manifest["summary_cache"] == {"corrupt_lines": 0, "append_failed": False}
+
+    def test_manifest_reports_a_failed_append(self, tmp_path, fixture_corpus, monkeypatch):
+        apks, _, _ = fixture_corpus
+
+        def refuse(log):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(JsonlLog, "_open", refuse)
+        code, out_dir = analyze(tmp_path, apks[:2])
+        assert code == cli.EXIT_OK
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["kb"] == manifest["summary_cache"] == {"corrupt_lines": 0, "append_failed": True}
+        assert manifest["failed"] == 0
 
     def test_missing_apk_is_isolated(self, tmp_path, fixture_corpus):
         apks, _, _ = fixture_corpus

@@ -179,6 +179,31 @@ def test_load_descriptions_roundtrip(tmp_path):
     assert descs[1].release_date is None
 
 
+def test_load_descriptions_skips_a_row_holding_a_lone_surrogate(tmp_path, caplog):
+    path = tmp_path / "descs.jsonl"
+    path.write_text(
+        '{"package_name": "com.a", "text": "an AI camera"}\n'
+        '{"package_name": "com.b", "text": "an AI \\ud800 camera"}\n'
+        '{"package_name": "com.c\\udfff", "text": "hello"}\n'
+        '{"package_name": "com.d", "text": "a pair \\ud83d\\ude00 is fine"}\n',
+        encoding="utf-8",
+    )
+    descs = load_descriptions(path)
+    assert [d.package_name for d in descs] == ["com.a", "com.d"]
+    assert descs[1].text == "a pair \U0001f600 is fine"
+    assert [r.message.count("surrogate") for r in caplog.records] == [1, 1]
+
+
+def test_load_descriptions_skips_a_row_that_is_not_utf8(tmp_path):
+    path = tmp_path / "descs.jsonl"
+    path.write_bytes(
+        '{"package_name": "com.a", "text": "caf\u00e9"}\n'.encode("latin-1")
+        + '{"package_name": "com.b", "text": "caf\u00e9"}\n'.encode("utf-8")
+    )
+    [desc] = load_descriptions(path)
+    assert (desc.package_name, desc.text) == ("com.b", "caf\u00e9")
+
+
 def test_load_default_keywords():
     kw = load_keywords()
     assert "ai" in kw.terms

@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from aidiscover.backends import MockBackend
 from aidiscover.gateway import (
     BackendUnavailable,
-    BatchRequest,
     ContextOverflow,
     MalformedJson,
     MisalignedOutput,
@@ -21,6 +20,7 @@ from aidiscover.gateway import (
     TaskId,
     chunk,
     parse_aligned,
+    parse_summary,
     render_prompt,
 )
 from aidiscover.prompts import load_templates
@@ -73,40 +73,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             make_gateway(**kwargs)
 
-    def test_batch_request_bounds(self):
-        template = load_templates()[TaskId.DETECT]
-        with pytest.raises(ValueError):
-            BatchRequest(template, ("a", "b", "c", "d"), batch_size=3)
-        with pytest.raises(ValueError):
-            BatchRequest(template, (), batch_size=3)
-
 
 class TestRenderPrompt:
     def test_contains_items_and_schema(self):
         template = load_templates()[TaskId.DETECT]
-        req = BatchRequest(template, ("com.google.mlkit.vision.objects",), batch_size=3)
-        prompt = render_prompt(req)
+        prompt = render_prompt(template, ("com.google.mlkit.vision.objects",), SamplingConfig())
         assert "com.google.mlkit.vision.objects" in prompt
         assert "1. com.google.mlkit.vision.objects" in prompt
         assert "JSON array" in prompt and "is_ai" in prompt
 
     def test_enumerates_all_items(self):
         template = load_templates()[TaskId.DETECT]
-        req = BatchRequest(template, ("first", "second", "third"), batch_size=3)
-        prompt = render_prompt(req)
+        prompt = render_prompt(template, ("first", "second", "third"), SamplingConfig())
         for line in ("1. first", "2. second", "3. third"):
             assert line in prompt
 
     def test_pathological_item_overflows(self):
         template = load_templates()[TaskId.DETECT]
-        req = BatchRequest(template, ("x" * 10_000,), batch_size=3)
         with pytest.raises(ContextOverflow):
-            render_prompt(req)
+            render_prompt(template, ("x" * 10_000,), SamplingConfig())
 
     def test_few_shot_examples_present(self):
         template = load_templates()[TaskId.ANALYZE]
-        req = BatchRequest(template, ("item",), batch_size=3)
-        prompt = render_prompt(req)
+        prompt = render_prompt(template, ("item",), SamplingConfig())
         assert prompt.count("Input:") == 5
         assert prompt.count("Output:") == 5
 
@@ -124,7 +113,7 @@ class TestSummaryFit:
 
         def fits(n):
             try:
-                render_prompt(BatchRequest(template, tuple(items[:n]), batch_size=n), sampling)
+                render_prompt(template, items[:n], sampling)
             except ContextOverflow:
                 return False
             return True
@@ -176,6 +165,43 @@ class TestParseAligned:
         with pytest.raises(MalformedJson):
             parse_aligned(TaskId.DETECT, raw, 1)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            '[{"index": 0, "analysis": "object \\ud800 detection"}]',
+            '[{"index": 0, "analysis": "object \\uDC80"}]',
+            '[{"index": 0, "analysis": "a pair split \\ude00\\ud83d"}]',
+            '[{"index": 0, "analysis": "raw \udfff in the text"}]',  # the code point, not an escape
+            '[{"index": 0, "analysis": "a key", "\\ud800": 1}]',
+            'Sure: [{"index": 0, "analysis": "in prose \\ud800"}] done',
+        ],
+    )
+    def test_a_lone_surrogate_is_malformed(self, raw):
+        with pytest.raises(MalformedJson, match="surrogate"):
+            parse_aligned(TaskId.ANALYZE, raw, 1)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            '[{"index": 0, "analysis": "a pair \\ud83d\\ude00 is one code point"}]',
+            '[{"index": 0, "analysis": "an escaped backslash \\\\ud800 is text"}]',
+            '[{"index": 0, "analysis": "caf\u00e9 \U0001f600"}]',
+        ],
+    )
+    def test_text_that_utf8_can_encode_is_kept(self, raw):
+        [row] = parse_aligned(TaskId.ANALYZE, raw, 1)
+        row["analysis"].encode("utf-8")
+
+    def test_a_lone_surrogate_in_a_summary_is_malformed(self):
+        with pytest.raises(MalformedJson, match="surrogate"):
+            parse_summary('{"summary": "s", "capabilities": ["\\udbff"]}')
+
+    @pytest.mark.parametrize("analysis", ["", "   ", "\t\n"])
+    def test_a_blank_analysis_is_malformed(self, analysis):
+        raw = json.dumps([{"index": 0, "analysis": analysis}])
+        with pytest.raises(MalformedJson, match="blank analysis"):
+            parse_aligned(TaskId.ANALYZE, raw, 1)
+
 
 class TestRunBatch:
     def test_mock_three_items_aligned(self):
@@ -204,6 +230,22 @@ class TestRunBatch:
         assert "MalformedJson" in results[0].error
         assert gateway.call_count == 3
 
+    def test_a_lone_surrogate_reply_is_resent_then_failed(self):
+        bad = '[{"index": 0, "is_ai": true, "rationale": "\\ud800"}]'
+        gateway = make_gateway(ScriptedBackend([bad] * 3))
+        [result] = gateway.run_items(TaskId.DETECT, ["solo.item"], batch_size=1)
+        assert result.payload is None
+        assert "MalformedJson" in result.error and "surrogate" in result.error
+        assert gateway.call_count == 3
+
+    def test_a_blank_analysis_is_resent_then_falls_back_to_singletons(self):
+        blank = json.dumps([{"index": 0, "analysis": "ok"}, {"index": 1, "analysis": " "}])
+        singles = [json.dumps([{"index": 0, "analysis": text}]) for text in ("first", "second")]
+        gateway = make_gateway(ScriptedBackend([blank] * 3 + singles))
+        results = gateway.run_items(TaskId.ANALYZE, ["a", "b"], batch_size=2)
+        assert [r.payload["analysis"] for r in results] == ["first", "second"]
+        assert gateway.call_count == 5
+
     def test_rate_limit_backoff_then_success(self):
         raw = json.dumps([{"index": 0, "is_ai": False, "rationale": "r"}])
         backend = ScriptedBackend([RateLimited("slow down"), RateLimited("again"), raw])
@@ -215,7 +257,7 @@ class TestRunBatch:
 
     def test_rate_limit_exhaustion(self):
         backend = ScriptedBackend([RateLimited("x")] * 10)
-        gateway = make_gateway(backend, rate_limit_retries=3)
+        gateway = make_gateway(backend)
         with pytest.raises(BackendUnavailable):
             gateway.run_items(TaskId.DETECT, ["x"], batch_size=1)
 
@@ -229,7 +271,7 @@ class TestRunBatch:
         big_a = "mlkit." + "a" * 4000
         big_b = "plain." + "b" * 4000
         template = load_templates()[TaskId.DETECT]
-        results = gateway.run_batch(BatchRequest(template, (big_a, big_b), batch_size=3))
+        results = gateway.run_batch(template, (big_a, big_b))
         assert [r.item_index for r in results] == [0, 1]
         assert results[0].payload["is_ai"] is True
         assert results[1].payload["is_ai"] is False

@@ -222,6 +222,53 @@ def test_no_key_is_both_verdicts_after_replay(tmp_path):
         assert seen.setdefault(key, record.verdict) == record.verdict
 
 
+@pytest.mark.parametrize("field", ["text", "analysis", "domain", "model_id"])
+@pytest.mark.parametrize("escape", ["\\ud800", "\\uDFFF", "\\ude00\\ud83d"])
+def test_sync_skips_a_line_holding_a_lone_surrogate(tmp_path, field, escape):
+    good = ai_record(text="a.good", domain="ComputerVision", task="Detection").to_line()
+    bad = ai_record(text="a.bad", domain="ComputerVision", task="Detection").to_line()
+    value = json.loads(bad)[field]
+    bad = bad.replace(json.dumps(value), json.dumps(value)[:-1] + escape + '"')
+    path = tmp_path / "kb.jsonl"
+    path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+    kb = kb_sync(path)
+    assert list(kb.records) == [KbKey.make("Package", "a.good")]
+    assert kb.corrupt_lines == 1
+
+
+def test_sync_keeps_a_line_whose_escapes_decode_to_text_utf8_can_hold(tmp_path):
+    line = ai_record(text="a.good", analysis="tab\tpair 😀 backslash-u \\ud800").to_line()
+    assert "\\t" in line and "\\\\ud800" in line
+    path = tmp_path / "kb.jsonl"
+    path.write_text(line.replace("😀", "\\ud83d\\ude00") + "\n", encoding="utf-8")
+    [record] = kb_sync(path).records.values()
+    assert record.analysis == "tab\tpair 😀 backslash-u \\ud800"
+
+
+@pytest.mark.parametrize("torn", [b"caf\xc3", b"\xe2\x82", b"\xf0\x9f\x98"])
+def test_sync_skips_a_torn_multibyte_tail(tmp_path, torn):
+    path = tmp_path / "kb.jsonl"
+    first = ai_record(text="a.one").to_line().encode("utf-8")
+    tail = ai_record(text="a.two", analysis="caf\u00e9 \u20ac \U0001f600").to_line().encode("utf-8")
+    path.write_bytes(first + b"\n" + tail[: tail.index(torn) + len(torn)])
+    kb = kb_sync(path)
+    assert list(kb.records) == [KbKey.make("Package", "a.one")]
+    assert kb.corrupt_lines == 1
+    kb.insert(ai_record(text="a.three"))
+    kb.close()
+    assert len(kb_sync(path).records) == 2
+
+
+def test_sync_skips_a_line_that_is_not_utf8_and_keeps_the_rest(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    latin1 = ai_record(text="a.latin1", analysis="caf\u00e9").to_line().encode("latin-1")
+    lines = [ai_record(text="a.one").to_line().encode(), latin1, ai_record(text="a.two").to_line().encode()]
+    path.write_bytes(b"\n".join(lines))
+    kb = kb_sync(path)
+    assert list(kb.records) == [KbKey.make("Package", "a.one"), KbKey.make("Package", "a.two")]
+    assert kb.corrupt_lines == 1
+
+
 def test_record_line_round_trip():
     record = ai_record(
         domain="ComputerVision",
@@ -251,8 +298,12 @@ def _is_valid(record: KbRecord) -> bool:
     return True
 
 
-# Quotes, backslashes, control characters and non-BMP text besides any code point.
-_TEXT = st.text(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "😀", "a", " "]) | st.characters())
+# Quotes, backslashes, control characters and non-BMP text besides any code
+# point but a surrogate, which no UTF-8 file holds and replay refuses.
+_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "😀", "a", " "])
+    | st.characters(exclude_categories=("Cs",))
+)
 _RECORDS = st.builds(
     KbRecord,
     key=st.builds(KbKey, kind=st.sampled_from(["Package", "Api", "HttpsRequest", "ModelAsset"]), normalized_text=_TEXT),
@@ -354,6 +405,38 @@ def test_summary_cache_skips_records_it_cannot_use(tmp_path, line):
         fh.write(json.dumps(line) + "\n")
     reloaded = SummaryCache(path)
     assert reloaded.get("digest-1") == {"summary": "s", "capabilities": ["a"]}
+    assert reloaded.corrupt_lines == 1
+
+
+@pytest.mark.parametrize("where", ["digest", "summary", "capabilities"])
+def test_summary_cache_skips_a_line_holding_a_lone_surrogate(tmp_path, where):
+    path = tmp_path / "kb.jsonl.summaries"
+    first = SummaryCache(path)
+    first.put("digest-1", {"summary": "s", "capabilities": ["a"]})
+    first.close()
+    line = {"digest": "digest-2", "value": {"summary": "s", "capabilities": ["a"]}}
+    if where == "digest":
+        line["digest"] = "\ud800"
+    elif where == "summary":
+        line["value"]["summary"] = "\udc80"
+    else:
+        line["value"]["capabilities"] = ["\udfff"]
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(line) + "\n")  # ensure_ascii writes the surrogate as an escape
+    reloaded = SummaryCache(path)
+    assert list(reloaded.records) == ["digest-1"]
+    assert reloaded.corrupt_lines == 1
+
+
+def test_summary_cache_skips_a_torn_multibyte_tail(tmp_path):
+    path = tmp_path / "kb.jsonl.summaries"
+    first = SummaryCache(path)
+    first.put("digest-1", {"summary": "s", "capabilities": []})
+    first.close()
+    with open(path, "ab") as fh:
+        fh.write('{"digest": "digest-2", "value": {"summary": "caf\u00e9'.encode("utf-8")[:-1])
+    reloaded = SummaryCache(path)
+    assert list(reloaded.records) == ["digest-1"]
     assert reloaded.corrupt_lines == 1
 
 

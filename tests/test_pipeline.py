@@ -11,6 +11,7 @@ from aidiscover.curation import curate
 from aidiscover.gateway import BackendUnavailable, TaskId
 from aidiscover.kb import VERDICT_AI, VERDICT_NON_AI, InputOrder, KbKey, KbRecord, KnowledgeBase, kb_sync
 from aidiscover.pipeline import (
+    FAILURE_ANALYSIS,
     FAILURE_RATIONALE,
     PROVENANCE_FRESH,
     PROVENANCE_KB,
@@ -314,6 +315,23 @@ class TestWriteBack:
 
         second = analyze_app(apks[0], PipelineConfig(), kb, make_gateway(), whitelist)
         assert ai_labels(second) == {("ComputerVision", "Object Detection")}
+
+    def test_a_blank_analysis_fails_its_item_and_the_other_verdicts_are_written(self):
+        class BlankAnalysis(MockBackend):
+            def complete(self, request):
+                if request.task_id != TaskId.ANALYZE:
+                    return super().complete(request)
+                return json.dumps([{"index": i, "analysis": "  "} for i in range(len(request.items))])
+
+        kb = KnowledgeBase()
+        gateway = make_gateway(BlankAnalysis())
+        result = run_pipeline(cand_set(["com.google.mlkit.vision", "com.acme.logging"]), PipelineConfig(), kb, gateway)
+        ai, plain = result.verdicts
+        assert ai.is_ai and ai.analysis == FAILURE_ANALYSIS
+        assert not plain.is_ai and not result.degraded
+        write_back(result, kb, gateway.model_id)
+        # The failed analysis is not knowledge, so the AI verdict is asked again next run.
+        assert list(kb.records) == [plain.kb_key()]
 
     def test_degraded_run_writes_no_ai_record(self, fixture_corpus):
         apks, _, _ = fixture_corpus
