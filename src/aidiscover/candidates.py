@@ -30,6 +30,8 @@ URL_RE = re.compile(
 )
 
 _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
+# A rendered signature is bracketed, never empty or padded: clean without a control character.
+_is_clean_signature = re.compile(r"[^\x00-\x1f\x7f]*").fullmatch
 _SIGNATURE_CLASS = re.compile(r"<([^:>]+):")
 
 # Obfuscators rename to one- and two-letter identifiers.
@@ -157,7 +159,7 @@ def candidates_from_symbols(symbols: DexSymbols, source: str) -> list[Candidate]
     apis = map(ApiSignature.render, symbols.methods)
     return (
         _counted(CandidateKind.PACKAGE, packages, source, _is_clean_text)
-        + _counted(CandidateKind.API, apis, source, _is_clean_text)
+        + _counted(CandidateKind.API, apis, source, _is_clean_signature)
         + _counted(CandidateKind.HTTPS_REQUEST, _urls_in(symbols.strings), source, _is_clean_url)
     )
 
@@ -251,16 +253,16 @@ def measure_obfuscation(class_names: Iterable[str]) -> ObfuscationStats:
 
 def merge_candidates(groups: Iterable[list[Candidate]]) -> list[Candidate]:
     """Union per-entry candidate lists: sum occurrences, keep first source,
-    order by kind (``CandidateKind.ALL`` order) and then by text."""
+    order by kind (``CandidateKind.ALL`` order) and then by text. No input is
+    mutated: a text seen once keeps its object, a repeated one gets a new one."""
     by_kind: dict[str, dict[str, Candidate]] = {kind: {} for kind in CandidateKind.ALL}
     for group in groups:
         for cand in group:
             merged = by_kind.setdefault(cand.kind, {})
-            prior = merged.get(cand.text)
-            if prior is None:
-                merged[cand.text] = Candidate(cand.kind, cand.text, cand.source, cand.occurrences)
-            else:
-                prior.occurrences += cand.occurrences
+            prior = merged.setdefault(cand.text, cand)
+            if prior is not cand:
+                occurrences = prior.occurrences + cand.occurrences
+                merged[cand.text] = Candidate(cand.kind, cand.text, prior.source, occurrences)
     return [merged[text] for merged in by_kind.values() for text in sorted(merged)]
 
 

@@ -30,7 +30,7 @@ from .report import (
     write_report,
 )
 from .taxonomy import AppAggregate, CorpusStats, aggregate_stats, label_of
-from .utf8 import holds_surrogate
+from .utf8 import NOT_UTF8, holds_surrogate
 from .whitelist import EmptyWhitelist, Whitelist, load_whitelist
 
 log = logging.getLogger(__name__)
@@ -174,6 +174,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         if holds_surrogate(app_id):
             print(f"error: app id {app_id!r} of {apk_path!r} is not valid UTF-8", file=sys.stderr)
             return EXIT_USAGE
+        if app_id == "manifest":
+            print(f"error: app id 'manifest' of {apk_path} is the run manifest's name", file=sys.stderr)
+            return EXIT_USAGE
         if app_id in paths_by_id:
             print(
                 f"error: app id {app_id!r} names both {paths_by_id[app_id]} and {apk_path}",
@@ -270,11 +273,13 @@ def load_label_file(path: Path) -> dict[str, str]:
     Component records carry (kind, text); app records carry app_id.
     """
     labels: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
+            if holds_surrogate(line):
+                raise ValueError(f"{path}:{lineno}: {NOT_UTF8}")
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class DexError(Exception):
@@ -40,6 +40,8 @@ _OFF_CLASS_DEFS = 0x60
 
 ENDIAN_CONSTANT = 0x12345678
 
+_tuple_new = tuple.__new__
+
 _PRIMITIVES = {
     "V": "void",
     "Z": "boolean",
@@ -53,9 +55,8 @@ _PRIMITIVES = {
 }
 
 
-@dataclass
-class MethodRef:
-    """One method_ids row rendered into source-form pieces."""
+class MethodRef(NamedTuple):
+    """One method_ids row rendered into source-form pieces; a tuple, built without ``__init__``."""
 
     class_name: str
     return_type: str
@@ -215,14 +216,7 @@ def parse_dex(data: bytes) -> DexSymbols:
         if class_idx >= len(descriptors) or proto_idx >= len(protos) or name_idx >= len(strings):
             raise TruncatedDex(f"method_id {i} index out of range")
         ret, params = protos[proto_idx]
-        methods.append(
-            MethodRef(
-                class_name=sources[class_idx],
-                return_type=ret,
-                name=strings[name_idx],
-                param_types=params,
-            )
-        )
+        methods.append(_tuple_new(MethodRef, (sources[class_idx], ret, strings[name_idx], params)))
 
     defined: list[str] = []
     for i, (class_idx,) in enumerate(class_defs):

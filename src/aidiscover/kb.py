@@ -9,6 +9,7 @@ writes in input order.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -49,7 +50,7 @@ class KbKey(NamedTuple):
 
     @classmethod
     def make(cls, kind: str, text: str) -> "KbKey":
-        return cls(kind=kind, normalized_text=normalize_text(text))
+        return _tuple_new(cls, (kind, normalize_text(text)))  # see KbRecord.from_line
 
 
 # The bytes of ``json.dumps(..., ensure_ascii=False, sort_keys=True)``
@@ -57,6 +58,7 @@ class KbKey(NamedTuple):
 _encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
 _raw_decode = json.JSONDecoder().raw_decode
 _tuple_new = tuple.__new__
+_STR_OR_NONE = frozenset({str, type(None)})
 
 
 class KbRecord(NamedTuple):
@@ -114,33 +116,46 @@ class KbRecord(NamedTuple):
         created_at = payload["created_at"]
         analysis, domain, task = payload.get("analysis"), payload.get("domain"), payload.get("task")
         model_id = payload.get("model_id", "unknown")
-        for name, value in (("kind", kind), ("text", text), ("verdict", verdict), ("created_at", created_at)):
-            if not isinstance(value, str):
-                raise ValueError(f"{name} must be a string")
-        for name, value in (("analysis", analysis), ("domain", domain), ("task", task), ("model_id", model_id)):
-            if not isinstance(value, (str, type(None))):
-                raise ValueError(f"{name} must be a string or null")
+        # Every field type in one test, since this runs per line; the loops only
+        # name the field that fails. Then the checks of validate(), inline.
+        if not (
+            type(kind) is type(text) is type(verdict) is type(created_at) is str
+            and _STR_OR_NONE.issuperset((type(analysis), type(domain), type(task), type(model_id)))
+        ):
+            for name, value in (("kind", kind), ("text", text), ("verdict", verdict), ("created_at", created_at)):
+                if not isinstance(value, str):
+                    raise ValueError(f"{name} must be a string")
+            for name, value in (("analysis", analysis), ("domain", domain), ("task", task), ("model_id", model_id)):
+                if not isinstance(value, (str, type(None))):
+                    raise ValueError(f"{name} must be a string or null")
+        created = datetime.fromisoformat(created_at)
+        if verdict == VERDICT_AI:
+            if not (analysis or "").strip():
+                raise ValueError("AI records require a non-empty analysis")
+        elif verdict != VERDICT_NON_AI:
+            raise ValueError(f"verdict must be AI or NonAI, got {verdict!r}")
+        elif domain or task:
+            raise ValueError("NonAI records must not carry domain/task labels")
         share = (shared if shared is not None else {}).setdefault
         # tuple.__new__ with every field in order: the generated __new__ of
         # each NamedTuple would add a Python call per line.
-        record = _tuple_new(cls, (
+        return _tuple_new(cls, (
             _tuple_new(KbKey, (share(kind, kind), text)),
             share(verdict, verdict),
             analysis,
             share(domain, domain),
             share(task, task),
             share(model_id, model_id),
-            datetime.fromisoformat(created_at),
+            created,
         ))
-        record.validate()
-        return record
 
 
 class JsonlLog:
     """Keyed, append-only JSONL file shared by the KB and the summary cache.
 
-    Replay is last-write-wins per key; a line that is not UTF-8 or fails to
-    decode is skipped with a warning and counted, never fatal. The append
+    ``records`` maps each key to its latest entry, a tuple whose first item
+    is the key. Replay is last-write-wins per key; a line that is not UTF-8
+    or fails to decode is skipped with a warning and counted, never fatal. The append
     handle opens on the first append and stays open until :meth:`close`; if
     the file then ends in a torn line, a newline is written first so the next
     line starts fresh. Each append is one ``write()`` and a ``flush()`` under
@@ -158,7 +173,8 @@ class JsonlLog:
         self._fh: Optional[BinaryIO] = None
 
     def replay(self, decode: Callable[[str], tuple]) -> None:
-        """Load ``(key, value) = decode(line)`` for every line; a missing file is empty.
+        """Store ``entry = decode(line)`` under its key ``entry[0]``, for every
+        line; a missing file is empty.
 
         A byte that is not UTF-8 reaches ``decode`` as a lone surrogate, which
         it must refuse, so such a byte, a torn multi-byte tail included, costs
@@ -172,12 +188,12 @@ class JsonlLog:
                 if not line:
                     continue
                 try:
-                    key, value = decode(line)
+                    entry = decode(line)
                 except (KeyError, TypeError, ValueError) as exc:
                     self.corrupt_lines += 1
                     log.warning("%s:%d: skipping corrupt line (%s)", self.path, lineno, exc)
                     continue
-                self.records[key] = value
+                self.records[entry[0]] = entry
 
     def health(self) -> dict:
         """Lines replay skipped, and whether an append has failed since."""
@@ -246,13 +262,8 @@ def kb_sync(path: Union[str, Path, None], clock: Callable[[], datetime] = utc_no
     A None path yields a purely in-memory store.
     """
     kb = KnowledgeBase(path, clock)
-    shared: dict = {}  # one replay's closed-set values; see KbRecord.from_line
-
-    def entry(line: str) -> tuple[KbKey, KbRecord]:
-        record = KbRecord.from_line(line, shared)
-        return record.key, record
-
-    kb.replay(entry)
+    # One replay shares its closed-set values; see KbRecord.from_line.
+    kb.replay(functools.partial(KbRecord.from_line, shared={}))
     return kb
 
 
@@ -279,10 +290,12 @@ class SummaryCache(JsonlLog):
         self.replay(_summary_entry)
 
     def get(self, digest: str) -> Optional[dict]:
-        return self.records.get(digest)
+        entry = self.records.get(digest)
+        return entry[1] if entry is not None else None
 
     def put(self, digest: str, value: dict) -> None:
-        self._put(digest, value, json.dumps({"digest": digest, "value": value}, sort_keys=True))
+        line = json.dumps({"digest": digest, "value": value}, sort_keys=True)
+        self._put(digest, (digest, value), line)
 
 
 class InputOrder:

@@ -8,6 +8,7 @@ decides only when Analyze runs: on every fresh candidate before Detect
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -165,12 +166,18 @@ def run_pipeline(
     return PipelineResult(verdicts=verdicts, degraded=bool(warnings), warnings=warnings)
 
 
+# One string per model, not one per KB hit.
+_reused_rationale = functools.lru_cache(maxsize=64)(
+    "Reused prior verdict from knowledge base (model {})".format
+)
+
+
 def _reused(candidate: Candidate, record: KbRecord) -> ComponentVerdict:
     return ComponentVerdict(
         candidate=candidate,
         is_ai=record.verdict == VERDICT_AI,
         analysis=record.analysis,
-        rationale=f"Reused prior verdict from knowledge base (model {record.model_id})",
+        rationale=_reused_rationale(record.model_id),
         provenance=PROVENANCE_KB,
         domain=record.domain,
         task=record.task,

@@ -9,7 +9,7 @@ from collections import Counter
 from datetime import datetime
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .apk import open_apk
 from .candidates import CandidateSet, extract_candidates
@@ -231,18 +231,19 @@ def render_json(obj, depth: int = 0) -> str:
     an encoded JSON string never holds a raw newline, so ``},\n<indent>{``
     only occurs between rows. Other containers recurse item by item.
     """
-    if isinstance(obj, dict):
-        brackets, values = "{}", obj.values()
-    elif isinstance(obj, (list, tuple)):
-        brackets, values = "[]", obj
-    else:
-        return _flat_encode(obj, ",")
-    if not obj:
-        return brackets
+    return "".join(_pieces(obj, depth))
+
+
+def _pieces(obj, depth: int) -> Iterator[str]:
+    # render_json's text in pieces, so write_report copies none of it into a whole.
+    if not obj or not isinstance(obj, (dict, list, tuple)):  # a scalar or an empty container
+        yield _flat_encode(obj, ",")
+        return
+    brackets, values = ("{}", obj.values()) if isinstance(obj, dict) else ("[]", obj)
     inner = "\n" + _INDENT * (depth + 1)
-    outer = "\n" + _INDENT * depth
+    yield brackets[0] + inner
     if _is_flat(values):
-        body = _flat_encode(obj, "," + inner)[1:-1]
+        yield _flat_encode(obj, "," + inner)[1:-1]
     elif (
         brackets == "[]"
         and {dict}.issuperset(map(type, obj))
@@ -250,24 +251,28 @@ def render_json(obj, depth: int = 0) -> str:
         and _is_flat(chain.from_iterable(map(dict.values, obj)))
     ):
         row_inner = inner + _INDENT
-        body = _flat_encode(obj, "," + row_inner)[2:-2]
-        body = body.replace("}," + row_inner + "{", inner + "}," + inner + "{" + row_inner)
-        body = "{" + row_inner + body + inner + "}"
-    elif brackets == "{}":
-        body = ("," + inner).join(
-            f"{_flat_encode(key, ',')}: {render_json(value, depth + 1)}"
-            for key, value in sorted(obj.items())
-        )
+        yield "{" + row_inner
+        body = _flat_encode(obj, "," + row_inner)
+        yield body.replace("}," + row_inner + "{", inner + "}," + inner + "{" + row_inner)[2:-2]
+        yield inner + "}"
     else:
-        body = ("," + inner).join(render_json(item, depth + 1) for item in obj)
-    return brackets[0] + inner + body + outer + brackets[1]
+        items = sorted(obj.items()) if brackets == "{}" else enumerate(obj)
+        for i, (key, value) in enumerate(items):
+            if i:
+                yield "," + inner
+            if brackets == "{}":
+                yield _flat_encode(key, ",") + ": "
+            yield from _pieces(value, depth + 1)
+    yield "\n" + _INDENT * depth + brackets[1]
 
 
 def write_report(report: dict, out_dir: Union[str, Path]) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{report['app_id']}.json"
-    path.write_text(render_json(report) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_pieces(report, 0))
+        fh.write("\n")
     (out_dir / f"{report['app_id']}.txt").write_text(render_report_text(report), encoding="utf-8")
     return path
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Union
+from typing import Union
 
 from .candidates import ApiSignature, Candidate, CandidateKind, CandidateSet, dotted_prefixes
 from .listfile import parse_list, read_list
@@ -54,28 +54,32 @@ def load_whitelist(path: Union[str, Path, None] = None) -> Whitelist:
     return parse_whitelist(read_list("whitelist.txt", path))
 
 
-def _drop(candidate: Candidate, matches: Callable[[str], bool]) -> bool:
-    """Whether ``matches`` (a whitelist test on a dotted name) drops one candidate."""
-    if candidate.kind == CandidateKind.PACKAGE:
-        return matches(candidate.text)
-    if candidate.kind == CandidateKind.API:
-        class_name = ApiSignature.class_name_of(candidate.text)
-        return class_name is not None and matches(class_name)
-    # URL and model-asset candidates are never whitelisted away.
-    return False
-
-
 def apply_whitelist(cand_set: CandidateSet, wl: Whitelist) -> CandidateSet:
     """Drop Package/Api candidates under any whitelisted prefix.
 
     Idempotent; preserves candidate order, occurrences, and every candidate
-    of other kinds. Each distinct name is tested once per call, since an app
-    has many API candidates per class.
+    of other kinds. An API candidate is decided by its class, the text before
+    its first ``:``; each distinct class and name is decided once per call.
     """
     matches = functools.cache(wl.matches)
+
+    @functools.cache
+    def drops_class(head: str) -> bool:
+        # class_name_of(head + ":") is class_name_of(text) for a text with a ":".
+        class_name = ApiSignature.class_name_of(head + ":")
+        return class_name is not None and matches(class_name)
+
+    # URL and model-asset candidates are never whitelisted away.
+    kept = [
+        c for c in cand_set.candidates
+        if not (
+            matches(c.text) if c.kind == CandidateKind.PACKAGE
+            else c.kind == CandidateKind.API and ":" in c.text and drops_class(c.text.partition(":")[0])
+        )
+    ]
     return CandidateSet(
         app_id=cand_set.app_id,
-        candidates=[c for c in cand_set.candidates if not _drop(c, matches)],
+        candidates=kept,
         obfuscation=cand_set.obfuscation,
         warnings=list(cand_set.warnings),
     )

@@ -3,13 +3,20 @@ import json
 import re
 import shutil
 import subprocess
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from aidiscover.apk import open_apk
 from aidiscover.candidates import (
+    _is_clean_signature,
+    _is_clean_text,
+    _is_clean_url,
     _urls_in,
+    ApiSignature,
     Candidate,
     CandidateKind,
     candidates_from_symbols,
@@ -19,12 +26,13 @@ from aidiscover.candidates import (
     find_urls,
     measure_obfuscation,
     merge_candidates,
+    package_of,
 )
-from aidiscover.dex import parse_dex
+from aidiscover.dex import MethodRef, parse_dex
 from aidiscover.native import BadElfMagic, ElfScan, scan_elf_strings
 
 from conftest import MUTATIONS, OPENAI_BASE_URL, OPENAI_CHAT_URL, golden_dex1, golden_elf, mutate
-from helpers import DexBuilder, build_elf32_msb, build_elf64
+from helpers import DexBuilder, build_apk, build_elf32_msb, build_elf64
 
 
 def by_kind(cands, kind):
@@ -356,3 +364,52 @@ def test_non_model_asset_with_embedded_url_becomes_other():
     assert [(c.kind, c.text) for c in cands] == [
         (CandidateKind.OTHER, "assets/cache/https://cdn.example.com/pack.zip")
     ]
+
+
+# Names built from what a signature or a cleanliness check could trip on:
+# ":", "<", ">", whitespace, control characters, dots and so empty segments.
+_hostile = st.text(alphabet=":<>. \t\n\x00\x1f\x7f\xa0aB", max_size=6)
+
+
+@given(_hostile, _hostile, _hostile, st.lists(_hostile, max_size=2))
+def test_signature_clean_check_equals_the_text_rule(cls, ret, name, params):
+    text = ApiSignature.render(MethodRef(cls, ret, name, params))
+    assert bool(_is_clean_signature(text)) == _is_clean_text(text)
+
+
+def _reference_extraction(dexes):
+    """Candidates of DEX entries by the reference rules: every text checked by
+    ``_is_clean_text`` (URLs by ``_is_clean_url``), and every merged candidate a copy."""
+    merged = {kind: {} for kind in CandidateKind.ALL}
+    for source, data in dexes:
+        symbols = parse_dex(data)
+        for kind, texts, keep in (
+            (CandidateKind.PACKAGE, filter(None, map(package_of, symbols.class_names)), _is_clean_text),
+            (CandidateKind.API, map(ApiSignature.render, symbols.methods), _is_clean_text),
+            (CandidateKind.HTTPS_REQUEST, _urls_in(symbols.strings), _is_clean_url),
+        ):
+            for text, count in Counter(texts).items():
+                if keep(text):
+                    first_source, prior = merged[kind].get(text, (source, 0))
+                    merged[kind][text] = (first_source, prior + count)
+    return [(kind, text, *merged[kind][text]) for kind in merged for text in sorted(merged[kind])]
+
+
+@given(st.data())
+def test_two_dex_extraction_equals_the_reference_on_hostile_names(data):
+    names = data.draw(st.lists(_hostile, min_size=1, max_size=4, unique=True))
+    dexes = []
+    for source in ("classes.dex", "classes2.dex"):  # drawn from one pool, so texts overlap
+        builder = DexBuilder()
+        for cls in data.draw(st.lists(st.sampled_from(names), max_size=3, unique=True)):
+            methods = st.tuples(st.sampled_from(names), st.sampled_from(names), st.just(()))
+            builder.add_class(cls, data.draw(st.lists(methods, max_size=3)))
+        for name in data.draw(st.lists(st.sampled_from(names), max_size=2)):
+            builder.add_string(f"https://a{name}.example/p")
+        dexes.append((source, builder.build()))
+    with tempfile.TemporaryDirectory() as tmp:
+        with open_apk(build_apk(Path(tmp) / "two.apk", dexes)) as archive:
+            cand_set = extract_candidates(archive, "two", model_suffixes=(".tflite",))
+    assert [(c.kind, c.text, c.source, c.occurrences) for c in cand_set.candidates] == (
+        _reference_extraction(dexes)
+    )

@@ -69,6 +69,16 @@ class TestAnalyze:
         assert not out_dir.exists()
         assert not (tmp_path / "reports.kb.jsonl").exists()
 
+    def test_an_apk_named_manifest_is_refused(self, tmp_path, fixture_corpus, capsys):
+        apks, _, _ = fixture_corpus
+        # Its report would be manifest.json, which the run manifest overwrites.
+        named = tmp_path / "manifest.apk"
+        named.write_bytes(Path(apks[0]).read_bytes())
+        code, out_dir = analyze(tmp_path, [apks[1], named])
+        assert code == cli.EXIT_USAGE
+        assert f"'manifest' of {named}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_an_apk_name_that_is_not_utf8_is_refused(self, tmp_path, fixture_corpus, capsys):
         apks, _, _ = fixture_corpus
         # A POSIX file name byte that is not UTF-8 reaches Python as a lone surrogate.
@@ -251,14 +261,20 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "bad_line",
-        ['{"kind": "Package", "label": "AI"}', '["Package", "com.b", "AI"]', '{"kind": Package'],
-        ids=["no-text", "not-an-object", "invalid-json"],
+        [
+            '{"kind": "Package", "label": "AI"}',
+            '["Package", "com.b", "AI"]',
+            '{"kind": Package',
+            '{"kind": "Package", "text": "caf\udce9", "label": "AI"}',  # byte 0xE9, not UTF-8
+        ],
+        ids=["no-text", "not-an-object", "invalid-json", "not-utf8"],
     )
     def test_malformed_truth_row_names_its_line(self, tmp_path, capsys, bad_line):
         good = {"kind": "Package", "text": "com.a", "label": "AI"}
         predictions = write_jsonl(tmp_path / "p.jsonl", [good])
         truth = tmp_path / "t.jsonl"
-        truth.write_text(json.dumps(good) + "\n" + bad_line + "\n", encoding="utf-8")
+        text = json.dumps(good) + "\n" + bad_line + "\n"
+        truth.write_text(text, encoding="utf-8", errors="surrogateescape")
         code = run_cli("evaluate", "--predictions", predictions, "--truth", truth)
         assert code == cli.EXIT_FAILURE
         assert f"{truth}:2:" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import threading
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from aidiscover.kb import (
     VERDICT_AI,
@@ -332,6 +332,52 @@ def test_record_line_round_trips_and_keeps_the_dumps_bytes(record):
         "created_at": record.created_at.isoformat(),
     }
     assert record.to_line() == json.dumps(payload, ensure_ascii=False, sort_keys=True)
+
+
+def _reference_from_line(line: str) -> KbRecord:
+    """Reference rule: type loops over the fields, then the record's validate()."""
+    payload = json.loads(line)
+    kind, text, verdict, created_at = (payload[f] for f in ("kind", "text", "verdict", "created_at"))
+    optional = {f: payload.get(f) for f in ("analysis", "domain", "task")}
+    optional["model_id"] = payload.get("model_id", "unknown")
+    for name, value in (("kind", kind), ("text", text), ("verdict", verdict), ("created_at", created_at)):
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string")
+    for name, value in optional.items():
+        if not isinstance(value, (str, type(None))):
+            raise ValueError(f"{name} must be a string or null")
+    record = KbRecord(KbKey(kind, text), verdict, created_at=datetime.fromisoformat(created_at), **optional)
+    record.validate()
+    return record
+
+
+def _outcome(decode, line):
+    try:
+        return decode(line)
+    except (KeyError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_FIELDS = ("kind", "text", "verdict", "created_at", "analysis", "domain", "task", "model_id")
+_FIELD = st.sampled_from([None, 0, [None], "", " ", "x", "Maybe", "yesterday"])
+
+
+# A valid line with up to two fields replaced and some optional ones left out.
+@given(
+    st.sampled_from([VERDICT_AI, VERDICT_NON_AI]),
+    st.dictionaries(st.sampled_from(_FIELDS), _FIELD, max_size=2),
+    st.sets(st.sampled_from(_FIELDS[4:])),
+)
+@example(VERDICT_AI, {"analysis": " "}, set())
+@example(VERDICT_NON_AI, {"task": "x"}, set())
+def test_from_line_accepts_and_refuses_as_the_reference(verdict, replaced, left_out):
+    payload = {
+        "kind": "Package", "text": "com.a", "verdict": verdict, "created_at": "2024-05-01T00:00:00+00:00",
+        "analysis": "detects objects", "domain": None, "task": None, "model_id": "mock",
+    }
+    payload.update(replaced)
+    line = json.dumps({k: v for k, v in payload.items() if k not in left_out}, sort_keys=True)
+    assert _outcome(KbRecord.from_line, line) == _outcome(_reference_from_line, line)
 
 
 def test_replay_shares_closed_set_values_but_not_analysis(tmp_path):

@@ -1,11 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
-from aidiscover.candidates import Candidate, CandidateKind, CandidateSet
+from aidiscover.candidates import ApiSignature, Candidate, CandidateKind, CandidateSet, dotted_prefixes
 from aidiscover.whitelist import (
     EmptyWhitelist,
     Whitelist,
-    _drop,
     apply_whitelist,
     load_whitelist,
     parse_whitelist,
@@ -36,6 +37,13 @@ def test_load_whitelist_empty(tmp_path):
         load_whitelist(path)
 
 
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path):
+    path = tmp_path / "wl.txt"
+    path.write_bytes(b"java.\ncaf\xe9.\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: not UTF-8"):
+        load_whitelist(path)
+
+
 def test_load_default_whitelist():
     wl = load_whitelist()
     assert wl.matches("java.lang")
@@ -56,6 +64,17 @@ def test_prefix_matching_is_segment_aware():
     assert wl.matches("java")
     assert not wl.matches("javax.crypto")
     assert not wl.matches("javafx.scene")
+
+
+def _drop(candidate, matches):
+    """Reference rule: each candidate decided by itself, API ones by the class
+    name parsed from their whole text."""
+    if candidate.kind == CandidateKind.PACKAGE:
+        return matches(candidate.text)
+    if candidate.kind == CandidateKind.API:
+        class_name = ApiSignature.class_name_of(candidate.text)
+        return class_name is not None and matches(class_name)
+    return False
 
 
 def reference_matches(wl, dotted):
@@ -173,5 +192,36 @@ _api_candidates = st.builds(
 @given(st.lists(_api_candidates, max_size=25), _candidates, _whitelists)
 def test_apply_whitelist_equals_the_per_candidate_filter(apis, others, wl):
     cands = apis + others
+    out = apply_whitelist(make_set(cands), wl)
+    assert out.candidates == [c for c in cands if not _drop(c, wl.matches)]
+
+
+# Names built from what a signature parser could mistake for structure:
+# ":", "<", ">", whitespace, control characters, dots and so empty segments.
+_hostile = st.text(alphabet=":<>. \t\n\x00\x1f\x7f\xa0aB", max_size=8)
+
+
+def _signature(cls, ret, name):
+    return f"<{cls}: {ret} {name}()>"
+
+
+_hostile_apis = st.one_of(
+    st.builds(_signature, _hostile, _hostile, _hostile),
+    _hostile.map("<".__add__),  # a bracketed text, with or without a ":"
+    _hostile,
+).map(lambda text: Candidate(CandidateKind.API, text, "src"))
+
+
+@given(st.lists(_hostile_apis, max_size=20), st.lists(_hostile, max_size=4), st.data())
+def test_per_class_decision_equals_the_per_candidate_rule_on_hostile_names(apis, extra, data):
+    # Whitelist some prefixes of the class names the texts, or their part
+    # before a ":", parse to, so that matches are common, also for a text
+    # without a ":"; dropped and kept texts then share classes.
+    heads = [c.text.partition(":")[0] + ":" for c in apis]
+    names = [n for n in map(ApiSignature.class_name_of, heads) if n] + extra
+    prefixes = {p.lower() for n in names for p in dotted_prefixes(n) if data.draw(st.booleans())}
+    wl = Whitelist(prefixes=frozenset(prefixes - {""}) or frozenset({"a"}))
+    packages = [Candidate(CandidateKind.PACKAGE, n, "src") for n in extra]
+    cands = apis + packages + apis  # every class seen again after its first decision
     out = apply_whitelist(make_set(cands), wl)
     assert out.candidates == [c for c in cands if not _drop(c, wl.matches)]
