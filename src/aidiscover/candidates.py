@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 from urllib.parse import urlsplit
 
 from .apk import ApkArchive, EntryKind
@@ -33,6 +33,7 @@ _CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
 # A rendered signature is bracketed, never empty or padded: clean without a control character.
 _is_clean_signature = re.compile(r"[^\x00-\x1f\x7f]*").fullmatch
 _SIGNATURE_CLASS = re.compile(r"<([^:>]+):")
+_tuple_new = tuple.__new__
 
 # Obfuscators rename to one- and two-letter identifiers.
 OBFUSCATED_SEGMENT_LEN = 2
@@ -83,8 +84,7 @@ def dotted_prefixes(name: str) -> list[str]:
     return prefixes
 
 
-@dataclass
-class Candidate:
+class Candidate(NamedTuple):
     """One extracted component: category, canonical text, origin, multiplicity."""
 
     kind: str
@@ -141,7 +141,7 @@ def _counted(
 ) -> list[Candidate]:
     """One candidate per distinct kept text, in first-seen order, with its count."""
     return [
-        Candidate(kind, text, source, occurrences=count)
+        _tuple_new(Candidate, (kind, text, source, count))
         for text, count in Counter(texts).items()
         if keep(text)
     ]
@@ -261,8 +261,8 @@ def merge_candidates(groups: Iterable[list[Candidate]]) -> list[Candidate]:
             merged = by_kind.setdefault(cand.kind, {})
             prior = merged.setdefault(cand.text, cand)
             if prior is not cand:
-                occurrences = prior.occurrences + cand.occurrences
-                merged[cand.text] = Candidate(cand.kind, cand.text, prior.source, occurrences)
+                fields = (cand.kind, cand.text, prior.source, prior.occurrences + cand.occurrences)
+                merged[cand.text] = _tuple_new(Candidate, fields)
     return [merged[text] for merged in by_kind.values() for text in sorted(merged)]
 
 

@@ -1,14 +1,13 @@
 """ELF shared-object scanning for embedded endpoint URLs.
 
 Walks the section header table (32/64-bit, either endianness) and harvests
-printable byte runs from data-carrying sections. Corrupt section headers are
-skipped, not fatal; an ELF without a usable section table degrades to a
-whole-file scan so stripped or packed libraries still yield strings.
+the printable byte runs that hold ``://`` from data-carrying sections. Corrupt
+section headers are skipped, not fatal; an ELF without a usable section table
+degrades to a whole-file scan so stripped or packed libraries still yield URLs.
 """
 
 from __future__ import annotations
 
-import re
 import struct
 from dataclasses import dataclass, field
 
@@ -19,7 +18,8 @@ SHT_PROGBITS = 1
 # 8 bytes is the shortest run that can still hold a URL prefix.
 MIN_RUN_LENGTH = 8
 
-_PRINTABLE_RUN = re.compile(rb"[\x20-\x7e]{%d,}" % MIN_RUN_LENGTH)
+# A mask byte is 0 where a printable run ends: at any byte outside 0x20-0x7e.
+_RUN_MASK = bytes(0x20 <= b <= 0x7E for b in range(256))
 
 
 class BadElfMagic(Exception):
@@ -28,7 +28,7 @@ class BadElfMagic(Exception):
 
 @dataclass
 class ElfScan:
-    """Printable runs harvested from one shared object."""
+    """Printable runs holding ``://`` in one shared object, maximal and MIN_RUN_LENGTH or longer."""
 
     runs: list[str]
     warnings: list[str] = field(default_factory=list)
@@ -70,12 +70,22 @@ def _section_table(data: bytes) -> list[tuple[int, int, int]]:
     return [row(e_shoff + i * e_shentsize) for i in range(e_shnum)]
 
 
-def _printable_runs(blob: bytes) -> list[str]:
-    return [m.group(0).decode("ascii") for m in _PRINTABLE_RUN.finditer(blob)]
+def _url_runs(blob: bytes) -> list[str]:
+    # A run is bounded on a mask built only once a hit is found, and decoded only if kept.
+    runs: list[str] = []
+    hit = blob.find(b"://")
+    mask = blob.translate(_RUN_MASK) + b"\0" if hit >= 0 else b""  # the 0 ends the last run
+    while hit >= 0:
+        start = mask.rfind(0, 0, hit) + 1
+        end = mask.find(0, hit)
+        if end - start >= MIN_RUN_LENGTH:
+            runs.append(blob[start:end].decode("ascii"))
+        hit = blob.find(b"://", end)
+    return runs
 
 
 def scan_elf_strings(data: bytes) -> ElfScan:
-    """Collect printable runs from an ELF image's data-carrying sections.
+    """Collect the printable runs that hold ``://`` from an ELF image's data sections.
 
     Raises:
         BadElfMagic: input is not ELF at all.
@@ -90,7 +100,7 @@ def scan_elf_strings(data: bytes) -> ElfScan:
         sections = _section_table(data)
     except (ValueError, struct.error) as exc:
         warnings.append(f"section table unusable ({exc}); falling back to whole-file scan")
-        return ElfScan(runs=_printable_runs(data), warnings=warnings)
+        return ElfScan(runs=_url_runs(data), warnings=warnings)
 
     runs: list[str] = []
     usable = 0
@@ -101,9 +111,9 @@ def scan_elf_strings(data: bytes) -> ElfScan:
             warnings.append(f"section {index} data out of bounds, skipped")
             continue
         usable += 1
-        runs.extend(_printable_runs(data[sh_offset : sh_offset + sh_size]))
+        runs.extend(_url_runs(data[sh_offset : sh_offset + sh_size]))
 
     if usable == 0:
         warnings.append("no usable data sections; falling back to whole-file scan")
-        runs = _printable_runs(data)
+        runs = _url_runs(data)
     return ElfScan(runs=runs, warnings=warnings)

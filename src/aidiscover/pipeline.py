@@ -65,9 +65,13 @@ class ComponentVerdict:
     provenance: str = PROVENANCE_FRESH
     domain: Optional[str] = None
     task: Optional[str] = None
+    # The candidate's KB key, once built; run_pipeline passes the one it looked up.
+    key: Optional[KbKey] = field(default=None, repr=False, compare=False)
 
     def kb_key(self) -> KbKey:
-        return KbKey.make(self.candidate.kind, self.candidate.text)
+        if self.key is None:
+            self.key = KbKey.make(self.candidate.kind, self.candidate.text)
+        return self.key
 
 
 @dataclass
@@ -127,9 +131,11 @@ def run_pipeline(
         record = kb.lookup(key)
         if record is None:
             # The conservative verdict stands until this run's Detect call returns.
-            verdict = ComponentVerdict(candidate, is_ai=False, rationale=FAILURE_RATIONALE)
+            verdict = ComponentVerdict(candidate, is_ai=False, rationale=FAILURE_RATIONALE, key=key)
         else:
-            verdict = _reused(candidate, record)
+            # A kept key costs collector time; write_back reads a hit's key only if it is
+            # labeled, and a NonAI record carries no labels.
+            verdict = _reused(candidate, record, key if record.verdict == VERDICT_AI else None)
             if record.verdict != VERDICT_AI or (record.domain and record.task):
                 verdicts.append(verdict)
                 continue
@@ -149,7 +155,7 @@ def run_pipeline(
                 fresh += indexes
             elif record is not seen:
                 for i in indexes:
-                    verdicts[i] = _reused(verdicts[i].candidate, record)
+                    verdicts[i] = _reused(verdicts[i].candidate, record, key)
                 turn.from_earlier_app += len(indexes)
         if fresh and not warnings:
             try:
@@ -172,7 +178,7 @@ _reused_rationale = functools.lru_cache(maxsize=64)(
 )
 
 
-def _reused(candidate: Candidate, record: KbRecord) -> ComponentVerdict:
+def _reused(candidate: Candidate, record: KbRecord, key: Optional[KbKey]) -> ComponentVerdict:
     return ComponentVerdict(
         candidate=candidate,
         is_ai=record.verdict == VERDICT_AI,
@@ -181,6 +187,7 @@ def _reused(candidate: Candidate, record: KbRecord) -> ComponentVerdict:
         provenance=PROVENANCE_KB,
         domain=record.domain,
         task=record.task,
+        key=key,
     )
 
 

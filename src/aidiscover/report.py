@@ -7,7 +7,8 @@ import json
 import logging
 from collections import Counter
 from datetime import datetime
-from itertools import chain
+from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -204,6 +205,9 @@ def render_report_text(report: dict) -> str:
 
 _INDENT = "  "
 _SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
+_STR_BOOL_OR_NONE = frozenset({str, bool, type(None)})
+_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
+_ITEMS_PER_PIECE = 256
 
 
 def _flat_encode(obj, separator: str) -> str:
@@ -226,10 +230,10 @@ def render_json(obj, depth: int = 0) -> str:
     byte, for a JSON value whose object keys are strings.
 
     A container whose values are all scalars is one C-encoder call with the
-    item separator ``",\n"`` plus its items' indent, and a list of such dicts
-    (the verdict rows) is one call whose row boundaries are fixed afterwards:
-    an encoded JSON string never holds a raw newline, so ``},\n<indent>{``
-    only occurs between rows. Other containers recurse item by item.
+    item separator ``",\n"`` plus its items' indent. Other lists go 256 items
+    a piece: scalar-only dicts with one key set (the verdict rows) fill one
+    ``%`` template, encoded column by column; other items recurse one by one,
+    as the items of other dicts do.
     """
     return "".join(_pieces(obj, depth))
 
@@ -244,26 +248,53 @@ def _pieces(obj, depth: int) -> Iterator[str]:
     yield brackets[0] + inner
     if _is_flat(values):
         yield _flat_encode(obj, "," + inner)[1:-1]
-    elif (
-        brackets == "[]"
-        and {dict}.issuperset(map(type, obj))
-        and all(obj)
-        and _is_flat(chain.from_iterable(map(dict.values, obj)))
-    ):
-        row_inner = inner + _INDENT
-        yield "{" + row_inner
-        body = _flat_encode(obj, "," + row_inner)
-        yield body.replace("}," + row_inner + "{", inner + "}," + inner + "{" + row_inner)[2:-2]
-        yield inner + "}"
-    else:
-        items = sorted(obj.items()) if brackets == "{}" else enumerate(obj)
-        for i, (key, value) in enumerate(items):
+    elif brackets == "{}":
+        for i, (key, value) in enumerate(sorted(obj.items())):
             if i:
                 yield "," + inner
-            if brackets == "{}":
-                yield _flat_encode(key, ",") + ": "
+            yield _flat_encode(key, ",") + ": "
             yield from _pieces(value, depth + 1)
+    else:
+        for start in range(0, len(obj), _ITEMS_PER_PIECE):
+            if start:
+                yield "," + inner
+            piece = obj[start : start + _ITEMS_PER_PIECE]
+            yield _table_rows(piece, inner) or ("," + inner).join(render_json(v, depth + 1) for v in piece)
     yield "\n" + _INDENT * depth + brackets[1]
+
+
+def _table_rows(items, inner: str) -> Optional[str]:
+    """The items as text if they are non-empty dicts of scalars with one set of str keys."""
+    if not {dict}.issuperset(map(type, items)) or not items[0]:
+        return None
+    keys = sorted(items[0])
+    if not {str}.issuperset(map(type, keys)) or not {len(keys)}.issuperset(map(len, items)):
+        return None
+    try:  # with one length, every row that has every key has no other
+        columns = [_encoded_column(list(map(itemgetter(key), items))) for key in keys]
+    except KeyError:
+        return None
+    if None in columns:
+        return None
+    row_inner = inner + _INDENT
+    template = "{" + row_inner + ("," + row_inner).join(
+        encode_basestring(key).replace("%", "%%") + ": %s" for key in keys
+    ) + inner + "}"
+    return ("," + inner).join(map(template.__mod__, zip(*columns)))
+
+
+def _encoded_column(values: list) -> Optional[Iterator[str]]:
+    # Each value as JSON, or None when one is not a scalar.
+    types = set(map(type, values))
+    if _STR_BOOL_OR_NONE.issuperset(types):  # each distinct value once
+        strings = set(values).difference(_JSON_CONSTANTS)
+        encoded = _JSON_CONSTANTS | dict(zip(strings, map(encode_basestring, strings)))
+        return map(encoded.__getitem__, values)
+    if types == {int}:
+        return map(int.__repr__, values)
+    if all(issubclass(t, (str, int, float, type(None))) for t in types):
+        return (_flat_encode(value, ",") for value in values)
+    return None
 
 
 def write_report(report: dict, out_dir: Union[str, Path]) -> Path:

@@ -69,12 +69,13 @@ def apply_whitelist(cand_set: CandidateSet, wl: Whitelist) -> CandidateSet:
         class_name = ApiSignature.class_name_of(head + ":")
         return class_name is not None and matches(class_name)
 
-    # URL and model-asset candidates are never whitelisted away.
+    # URL and model-asset candidates are never whitelisted away; the many API ones go first.
+    api, package = CandidateKind.API, CandidateKind.PACKAGE
     kept = [
         c for c in cand_set.candidates
         if not (
-            matches(c.text) if c.kind == CandidateKind.PACKAGE
-            else c.kind == CandidateKind.API and ":" in c.text and drops_class(c.text.partition(":")[0])
+            ":" in c.text and drops_class(c.text.partition(":")[0]) if c.kind == api
+            else c.kind == package and matches(c.text)
         )
     ]
     return CandidateSet(

@@ -1,0 +1,64 @@
+"""The ELF string scan keeps exactly the printable runs that hold "://"."""
+
+import re
+
+from hypothesis import example, given, strategies as st
+
+from aidiscover.native import MIN_RUN_LENGTH, scan_elf_strings
+
+from helpers import SHT_PROGBITS, build_elf64
+
+SHT_NOTE = 7
+
+_PRINTABLE_RUN = re.compile(rb"[\x20-\x7e]{%d,}" % MIN_RUN_LENGTH)
+
+
+def reference_runs(blob: bytes) -> list[str]:
+    """Every printable run of at least MIN_RUN_LENGTH bytes, decoded, kept when it holds "://"."""
+    return [m.group(0).decode("ascii") for m in _PRINTABLE_RUN.finditer(blob) if b"://" in m.group(0)]
+
+
+# URL parts, printable filler, and each kind of byte that ends a run: NUL, the
+# last control byte, DEL and bytes above ASCII.
+_blobs = st.lists(
+    st.one_of(
+        st.sampled_from([b"://", b"http", b"https", b"\x00", b"\x1f", b"\x7f", b"\x80", b"\xff"]),
+        st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=10).map(str.encode),
+    ),
+    max_size=40,
+).map(b"".join)
+
+
+@given(_blobs.filter(bool), _blobs)  # an empty .rodata and .data would take the fallback
+@example(b"://abcdefgh", b"")  # a hit at the very start of a section
+@example(b"\x00abcdefgh://", b"")  # ... and at its very end
+@example(b"x\x00a://b\x00y", b"")  # a run shorter than MIN_RUN_LENGTH
+@example(b"\x00http://a https://b ftp://c\x00", b"http://x://y")  # several hits in one run
+@example(b"abcd://", b"efgh")  # a run cut by the section boundary
+def test_section_runs_equal_the_filtered_regex_scan(rodata, data):
+    scan = scan_elf_strings(build_elf64(rodata, [(".data", SHT_PROGBITS, data)]))
+    assert scan.runs == reference_runs(rodata) + reference_runs(data)
+    assert scan.warnings == []
+
+
+@given(_blobs)
+@example(b"\x00https://a.example.com/path\x00")
+def test_whole_file_fallback_equals_the_filtered_regex_scan(payload):
+    blob = bytearray(build_elf64(payload))
+    blob[0x28:0x30] = (len(blob) * 3).to_bytes(8, "little")  # e_shoff out of bounds
+    scan = scan_elf_strings(bytes(blob))
+    assert scan.runs == reference_runs(bytes(blob))
+    assert scan.warnings[0].startswith("section table unusable")
+
+
+@given(_blobs)
+def test_no_data_section_falls_back_to_the_whole_file(payload):
+    blob = build_elf64(b"", [(".note", SHT_NOTE, payload)])
+    scan = scan_elf_strings(blob)
+    assert scan.runs == reference_runs(blob)
+    assert scan.warnings == ["no usable data sections; falling back to whole-file scan"]
+
+
+def test_each_run_is_kept_once_whatever_its_hits():
+    rodata = b"\x00".join([b"a://b", b"http://a.example/ https://b.example/", b"no scheme here at all"])
+    assert scan_elf_strings(build_elf64(rodata)).runs == ["http://a.example/ https://b.example/"]

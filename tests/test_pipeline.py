@@ -296,6 +296,37 @@ class TestWriteBack:
             ("com.plain.util", None, None),
         ]
 
+    def test_write_back_reuses_the_keys_the_lookup_built(self, monkeypatch, mock_gateway):
+        kb = KnowledgeBase()
+        for text, verdict, domain, task in [
+            ("com.google.mlkit.vision", VERDICT_AI, None, None),  # labels filled in, so rewritten
+            ("com.acme.speech", VERDICT_AI, "AudioSpeechProcessing", "Speech Recognition"),
+            ("com.plain.io", VERDICT_NON_AI, None, None),
+        ]:
+            key = KbKey.make(CandidateKind.PACKAGE, text)
+            kb.insert(KbRecord(key=key, verdict=verdict, analysis="a", domain=domain, task=task))
+        texts = ["com.google.mlkit.vision", "com.acme.speech", "com.plain.io", "com.plain.util", "org.tensorflow.lite"]
+        result = run_pipeline(cand_set(texts), PipelineConfig(), kb, mock_gateway)
+        classify_components([v for v in result.verdicts if v.is_ai], mock_gateway)
+        make = KbKey.make.__func__
+        made = []
+        monkeypatch.setattr(
+            KbKey, "make", classmethod(lambda cls, kind, text: made.append(text) or make(cls, kind, text))
+        )
+        write_back(result, kb, mock_gateway.model_id)
+        assert made == []
+        assert kb.records[KbKey(CandidateKind.PACKAGE, "com.google.mlkit.vision")].domain == "ComputerVision"
+        assert {"com.plain.util", "org.tensorflow.lite"} <= {key.normalized_text for key in kb.records}
+
+        # A verdict built elsewhere has its key built once, though write_back reads it twice.
+        verdict = ComponentVerdict(
+            candidate=cand("com.google.mlkit.face"), is_ai=True, analysis="a",
+            provenance=PROVENANCE_KB, domain="ComputerVision", task="Face Recognition",
+        )
+        write_back(PipelineResult([verdict]), kb, mock_gateway.model_id)
+        assert made == ["com.google.mlkit.face"]
+        assert kb.lookup(verdict.kb_key()).task == "Face Recognition"
+
     def test_real_others_unclassified_answer_is_stored(self):
         raw = json.dumps([{"index": 0, "domain": "Others", "task": "Unclassified"}])
         verdict = ComponentVerdict(candidate=cand("com.x.y"), is_ai=True, analysis="a", rationale="r")

@@ -1,5 +1,9 @@
 import json
+import math
+import random
 import tempfile
+import tracemalloc
+from enum import Enum, IntEnum
 
 from hypothesis import given, strategies as st
 
@@ -86,3 +90,107 @@ def test_written_report_is_the_reference_bytes_and_reads_back(report):
         path = write_report(report, tmp)
         assert path.read_bytes() == (reference_render(report) + "\n").encode("utf-8")
         assert read_report(path) == report
+
+
+class _Colour(str, Enum):
+    RED = 'r%s"\\'
+
+
+class _Level(IntEnum):
+    HIGH = 3
+
+
+# Keys full of what the row template must escape: its own "%", quotes,
+# backslashes, newlines and text beyond ASCII.
+_key = st.text(st.sampled_from(["%", "s", '"', "\\", "\n", "é", "\U0001f600", "k"]), min_size=1, max_size=4)
+# Column types the template encodes apart (str or None, bool, exact int) and
+# values it hands to the C encoder one by one: 1 beside True and 1.0, NaN and
+# infinities, a str Enum and an IntEnum.
+_column = st.one_of(
+    st.lists(_optional_text, min_size=1, max_size=4),
+    st.lists(st.booleans(), min_size=1, max_size=2),
+    st.lists(st.integers(), min_size=1, max_size=4),
+    st.lists(
+        st.sampled_from([True, 1, 1.0, None, math.nan, math.inf, -math.inf, _Colour.RED, _Level.HIGH, "s"]),
+        min_size=1,
+        max_size=4,
+    ),
+)
+
+
+@st.composite
+def _tables(draw, min_rows=0):
+    """Up to 700 rows, more than one 256-row piece, each drawing its values from its column's pool."""
+    pools = draw(st.dictionaries(_key, _column, min_size=1, max_size=5))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # a seed shrinks faster than every choice
+    count = draw(st.integers(min_rows, 700))
+    return [{key: rng.choice(pool) for key, pool in pools.items()} for _ in range(count)]
+
+
+def lines_of(text: str) -> list[str]:
+    # A failing comparison of long texts is reported line by line: pytest's
+    # character diff of two whole documents takes minutes.
+    return text.split("\n")
+
+
+@given(_tables())
+def test_render_json_equals_indented_json_dumps_on_row_tables(rows):
+    assert lines_of(render_json(rows)) == lines_of(reference_render(rows))
+    assert lines_of(render_json({"verdicts": rows})) == lines_of(reference_render({"verdicts": rows}))
+
+
+@given(
+    _tables(min_rows=1),
+    st.integers(min_value=0),
+    st.sampled_from(["drop", "add", "rename", "nest list", "nest dict"]),
+)
+def test_a_row_with_other_keys_or_a_nested_value_renders_as_json_dumps(rows, position, change):
+    row = rows[position % len(rows)]
+    key = min(row)
+    if change == "drop":
+        del row[key]
+    elif change == "add":
+        row[key + "+"] = 1
+    elif change == "rename":
+        row[key + "+"] = row.pop(key)
+    else:
+        row[key] = [row[key]] if change == "nest list" else {key: row[key]}
+    assert lines_of(render_json(rows)) == lines_of(reference_render(rows))
+
+
+def _large_report(rows: int) -> dict:
+    return {
+        "app_id": "large",
+        "is_ai_app": True,
+        "verdicts": [
+            {
+                "kind": "Api",
+                "text": f"<com.example.sdk{i % 97}.Client{i}: java.lang.String call{i}(int,java.lang.String)>",
+                "occurrences": i % 5 + 1,
+                "source": f"classes{i % 3 or ''}.dex",
+                "is_ai": i % 10 == 0,
+                "analysis": f"Analysis {i}: a client call of an example SDK, with \"quotes\" and é",
+                "rationale": "Reused prior verdict from knowledge base (model mock)",
+                "provenance": "KbHit",
+                "domain": "ComputerVision" if i % 10 == 0 else None,
+                "task": "Object Detection" if i % 10 == 0 else None,
+            }
+            for i in range(rows)
+        ],
+        "summary": "An app.",
+        "capabilities": [],
+        "app_label": None,
+        "warnings": [],
+    }
+
+
+def test_write_report_memory_is_bounded_by_the_piece_not_the_document(tmp_path):
+    report = _large_report(9000)
+    tracemalloc.start()
+    try:
+        path = write_report(report, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == (reference_render(report) + "\n").encode("utf-8")
+    assert peak < path.stat().st_size / 4
