@@ -99,8 +99,7 @@ class ApkArchive:
     meant for one logical thread at a time; distinct archives are independent.
     """
 
-    def __init__(self, source_path: Path, entries: list[ApkEntry], zf: zipfile.ZipFile):
-        self.source_path = source_path
+    def __init__(self, entries: list[ApkEntry], zf: zipfile.ZipFile):
         self.entries = entries
         self._zf = zf
 
@@ -198,4 +197,4 @@ def open_apk(path: Union[str, Path]) -> ApkArchive:
     except BaseException:
         zf.close()
         raise
-    return ApkArchive(source_path=path, entries=entries, zf=zf)
+    return ApkArchive(entries=entries, zf=zf)

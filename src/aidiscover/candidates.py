@@ -29,8 +29,7 @@ URL_RE = re.compile(
     r"https?://[A-Za-z0-9](?:[A-Za-z0-9.-]*[A-Za-z0-9])?(?::\d{1,5})?(?:/[^\s\"'<>`\\]*)?"
 )
 
-_CONTROL_CHARS = re.compile(r"[\x00-\x1f\x7f]")
-# A rendered signature is bracketed, never empty or padded: clean without a control character.
+# Holds no control character: a rendered signature, bracketed and never padded, is then clean.
 _is_clean_signature = re.compile(r"[^\x00-\x1f\x7f]*").fullmatch
 _SIGNATURE_CLASS = re.compile(r"<([^:>]+):")
 _tuple_new = tuple.__new__
@@ -123,7 +122,7 @@ def _urls_in(texts: Iterable[str]) -> Iterable[str]:
 
 
 def _is_clean_text(text: str) -> bool:
-    return bool(text) and text == text.strip() and not _CONTROL_CHARS.search(text)
+    return bool(text) and text == text.strip() and _is_clean_signature(text) is not None
 
 
 def _is_clean_url(text: str) -> bool:

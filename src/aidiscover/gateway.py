@@ -11,6 +11,7 @@ ordering tests.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import heapq
 import itertools
@@ -431,23 +432,18 @@ class LlmGateway:
         """
         template = self.templates[TaskId.SUMMARIZE]
 
-        def fits(n: int) -> bool:
+        def overflows(n: int) -> bool:
             try:
                 render_prompt(template, items[:n], self.sampling)
             except ContextOverflow:
-                return False
-            return True
+                return True
+            return False
 
-        if not items or fits(len(items)):
+        if not items or not overflows(len(items)):
             return len(items)
-        lo, hi = 0, len(items)  # the first lo items fit, the first hi do not
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if fits(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        # Index i of range(1, n) is length i + 1, so the first that overflows
+        # is found at the longest length that fits.
+        return bisect.bisect_left(range(1, len(items)), True, key=overflows)
 
     def run_summary(self, items: Sequence[str]) -> dict:
         """One Summarize request over pre-assembled component lines.

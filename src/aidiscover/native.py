@@ -34,6 +34,12 @@ class ElfScan:
     warnings: list[str] = field(default_factory=list)
 
 
+# Per ELF class: the e_shoff format and offset, the offset of the
+# e_shentsize/e_shnum pair, the smallest plausible e_shentsize, and a section
+# header as (sh_type @ 4, sh_offset, sh_size) past sh_flags and sh_addr.
+_LAYOUTS = {1: ("I", 0x20, 0x2E, 40, "4xI8xII"), 2: ("Q", 0x28, 0x3A, 64, "4xI16xQQ")}
+
+
 def _section_table(data: bytes) -> list[tuple[int, int, int]]:
     """Return (sh_type, sh_offset, sh_size) per section, or raise ValueError."""
     ei_class = data[4]  # 1 = 32-bit, 2 = 64-bit
@@ -41,33 +47,18 @@ def _section_table(data: bytes) -> list[tuple[int, int, int]]:
     if ei_class not in (1, 2) or ei_data not in (1, 2):
         raise ValueError(f"unsupported ELF ident class={ei_class} data={ei_data}")
     end = "<" if ei_data == 1 else ">"
-
-    if ei_class == 2:
-        e_shoff = struct.unpack_from(end + "Q", data, 0x28)[0]
-        e_shentsize = struct.unpack_from(end + "H", data, 0x3A)[0]
-        e_shnum = struct.unpack_from(end + "H", data, 0x3C)[0]
-        # sh_type @ 4, sh_offset @ 24, sh_size @ 32
-        def row(base: int) -> tuple[int, int, int]:
-            sh_type = struct.unpack_from(end + "I", data, base + 4)[0]
-            sh_offset, sh_size = struct.unpack_from(end + "QQ", data, base + 24)
-            return sh_type, sh_offset, sh_size
-    else:
-        e_shoff = struct.unpack_from(end + "I", data, 0x20)[0]
-        e_shentsize = struct.unpack_from(end + "H", data, 0x2E)[0]
-        e_shnum = struct.unpack_from(end + "H", data, 0x30)[0]
-        # sh_type @ 4, sh_offset @ 16, sh_size @ 20
-        def row(base: int) -> tuple[int, int, int]:
-            sh_type = struct.unpack_from(end + "I", data, base + 4)[0]
-            sh_offset, sh_size = struct.unpack_from(end + "II", data, base + 16)
-            return sh_type, sh_offset, sh_size
-
+    shoff_format, shoff_at, shentsize_at, min_shentsize, row_format = _LAYOUTS[ei_class]
+    e_shoff = struct.unpack_from(end + shoff_format, data, shoff_at)[0]
+    e_shentsize, e_shnum = struct.unpack_from(end + "HH", data, shentsize_at)
     if e_shoff == 0 or e_shnum == 0:
         raise ValueError("no section header table")
-    if e_shentsize < (64 if ei_class == 2 else 40):
+    if e_shentsize < min_shentsize:
         raise ValueError(f"implausible e_shentsize {e_shentsize}")
-    if e_shoff + e_shnum * e_shentsize > len(data):
+    table_end = e_shoff + e_shnum * e_shentsize
+    if table_end > len(data):
         raise ValueError("section header table out of bounds")
-    return [row(e_shoff + i * e_shentsize) for i in range(e_shnum)]
+    row = struct.Struct(end + row_format).unpack_from
+    return [row(data, base) for base in range(e_shoff, table_end, e_shentsize)]
 
 
 def _url_runs(blob: bytes) -> list[str]:

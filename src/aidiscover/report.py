@@ -88,7 +88,6 @@ def analyze_app(
     gateway: LlmGateway,
     whitelist: Whitelist,
     summary_cache: Optional[SummaryCache] = None,
-    app_id: Optional[str] = None,
     model_suffixes: Optional[tuple[str, ...]] = None,
     clock: Callable[[], datetime] = utc_now,
     turn: Optional[AppTurn] = None,
@@ -104,7 +103,7 @@ def analyze_app(
     the turn, so later apps never wait on a failed one.
     """
     apk_path = Path(apk_path)
-    app_id = app_id or apk_path.stem
+    app_id = apk_path.stem
     turn = turn or AppTurn.alone()
 
     try:
@@ -204,36 +203,21 @@ def render_report_text(report: dict) -> str:
 
 
 _INDENT = "  "
-_SCALAR_TYPES = frozenset({str, int, float, bool, type(None)})
 _STR_BOOL_OR_NONE = frozenset({str, bool, type(None)})
 _JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 _ITEMS_PER_PIECE = 256
-
-
-def _flat_encode(obj, separator: str) -> str:
-    """``obj`` as sorted JSON from the C encoder, items joined by ``separator``.
-
-    The C encoder runs only without ``indent``, so nested containers come out
-    with this same separator.
-    """
-    return json.JSONEncoder(
-        ensure_ascii=False, sort_keys=True, separators=(separator, ": ")
-    ).encode(obj)
-
-
-def _is_flat(values) -> bool:
-    return _SCALAR_TYPES.issuperset(map(type, values))
+# A scalar or an empty container as JSON; one encoder serves every call.
+_encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def render_json(obj, depth: int = 0) -> str:
     r"""``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``, byte for
     byte, for a JSON value whose object keys are strings.
 
-    A container whose values are all scalars is one C-encoder call with the
-    item separator ``",\n"`` plus its items' indent. Other lists go 256 items
-    a piece: scalar-only dicts with one key set (the verdict rows) fill one
-    ``%`` template, encoded column by column; other items recurse one by one,
-    as the items of other dicts do.
+    Each scalar and each key is encoded once. Lists go 256 items a piece:
+    scalar-only dicts with one key set (the verdict rows) fill one ``%``
+    template, encoded column by column; other items recurse one by one, as
+    the values of dicts do.
     """
     return "".join(_pieces(obj, depth))
 
@@ -241,18 +225,16 @@ def render_json(obj, depth: int = 0) -> str:
 def _pieces(obj, depth: int) -> Iterator[str]:
     # render_json's text in pieces, so write_report copies none of it into a whole.
     if not obj or not isinstance(obj, (dict, list, tuple)):  # a scalar or an empty container
-        yield _flat_encode(obj, ",")
+        yield _encode_scalar(obj)
         return
-    brackets, values = ("{}", obj.values()) if isinstance(obj, dict) else ("[]", obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
     inner = "\n" + _INDENT * (depth + 1)
     yield brackets[0] + inner
-    if _is_flat(values):
-        yield _flat_encode(obj, "," + inner)[1:-1]
-    elif brackets == "{}":
+    if brackets == "{}":
         for i, (key, value) in enumerate(sorted(obj.items())):
             if i:
                 yield "," + inner
-            yield _flat_encode(key, ",") + ": "
+            yield encode_basestring(key) + ": "
             yield from _pieces(value, depth + 1)
     else:
         for start in range(0, len(obj), _ITEMS_PER_PIECE):
@@ -284,7 +266,7 @@ def _table_rows(items, inner: str) -> Optional[str]:
 
 
 def _encoded_column(values: list) -> Optional[Iterator[str]]:
-    # Each value as JSON, or None when one is not a scalar.
+    # Each value as JSON, or None when one is not a str, bool, None or plain int.
     types = set(map(type, values))
     if _STR_BOOL_OR_NONE.issuperset(types):  # each distinct value once
         strings = set(values).difference(_JSON_CONSTANTS)
@@ -292,8 +274,6 @@ def _encoded_column(values: list) -> Optional[Iterator[str]]:
         return map(encoded.__getitem__, values)
     if types == {int}:
         return map(int.__repr__, values)
-    if all(issubclass(t, (str, int, float, type(None))) for t in types):
-        return (_flat_encode(value, ",") for value in values)
     return None
 
 
@@ -346,6 +326,9 @@ def read_report(path: Union[str, Path]) -> dict:
         )
     if not _is_app_label(report.get("app_label")):
         raise ValueError(f"{path}: app_label must be null or an object with domain and task strings")
+    kind_counts = report.get("kind_counts", {})
+    if not (isinstance(kind_counts, dict) and all(type(n) is int for n in kind_counts.values())):
+        raise ValueError(f"{path}: kind_counts must be an object of integer counts")
     for i, row in enumerate(report["verdicts"]):
         if not _is_verdict_row(row):
             raise ValueError(

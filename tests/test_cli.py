@@ -406,8 +406,22 @@ class TestStats:
     @pytest.mark.parametrize("command", ["stats", "evaluate"])
     @pytest.mark.parametrize(
         "spoil",
-        [lambda report: report["verdicts"][0].pop("is_ai"), lambda report: report.update(app_label="CV")],
-        ids=["row_without_is_ai", "app_label_not_an_object"],
+        [
+            lambda report: report["verdicts"][0].pop("is_ai"),
+            lambda report: report.update(app_label="CV"),
+            lambda report: report.update(kind_counts=5),
+            lambda report: report.update(kind_counts={"Package": "3"}),
+            lambda report: report.update(kind_counts=None),
+            lambda report: report.update(kind_counts={"Package": True}),
+        ],
+        ids=[
+            "row_without_is_ai",
+            "app_label_not_an_object",
+            "kind_counts_not_an_object",
+            "kind_count_a_string",
+            "kind_counts_null",
+            "kind_count_a_bool",
+        ],
     )
     def test_report_with_a_malformed_field_is_an_error_naming_it(
         self, tmp_path, fixture_corpus, capsys, command, spoil

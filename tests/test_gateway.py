@@ -4,10 +4,12 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from aidiscover import gateway as gateway_module
 from aidiscover.backends import MockBackend
 from aidiscover.gateway import (
     BackendUnavailable,
@@ -121,7 +123,12 @@ class TestSummaryFit:
         fitting = [n for n in range(1, len(items) + 1) if fits(n)]
         # the fitting prefix lengths are exactly 1..k, so a search is sound
         assert fitting == list(range(1, len(fitting) + 1))
-        assert gateway.summary_fit(items) == len(fitting)
+        with mock.patch.object(gateway_module, "render_prompt", wraps=render_prompt) as spy:
+            assert gateway.summary_fit(items) == len(fitting)
+        if len(fitting) < len(items):  # an overflow is searched, never from the empty prefix
+            rendered = [len(call.args[1]) for call in spy.call_args_list]
+            assert 0 not in rendered
+            assert len(rendered) <= math.ceil(math.log2(len(items))) + 1
 
 
 class TestParseAligned:

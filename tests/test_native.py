@@ -1,12 +1,14 @@
 """The ELF string scan keeps exactly the printable runs that hold "://"."""
 
 import re
+import struct
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from aidiscover.native import MIN_RUN_LENGTH, scan_elf_strings
 
-from helpers import SHT_PROGBITS, build_elf64
+from helpers import SHT_PROGBITS, build_elf32_msb, build_elf64
 
 SHT_NOTE = 7
 
@@ -38,6 +40,29 @@ _blobs = st.lists(
 def test_section_runs_equal_the_filtered_regex_scan(rodata, data):
     scan = scan_elf_strings(build_elf64(rodata, [(".data", SHT_PROGBITS, data)]))
     assert scan.runs == reference_runs(rodata) + reference_runs(data)
+    assert scan.warnings == []
+    # The big-endian ELF32 section table leads to the same data.
+    assert scan_elf_strings(build_elf32_msb(rodata)) == scan_elf_strings(build_elf64(rodata))
+
+
+# Per builder: byte order, and the e_shoff format and offset, and where the e_shentsize/e_shnum pair sits.
+_HEADERS = {"elf64": (build_elf64, "<", "Q", 0x28, 0x3A), "elf32_msb": (build_elf32_msb, ">", "I", 0x20, 0x2E)}
+
+
+@pytest.mark.parametrize("extra", [8, 24, 200])
+@pytest.mark.parametrize("layout", _HEADERS)
+def test_section_headers_are_read_at_the_e_shentsize_stride(layout, extra):
+    build, end, shoff_format, shoff_at, shentsize_at = _HEADERS[layout]
+    rodata = b"\x00https://a.example.com/model\x00"
+    blob = bytearray(build(rodata))
+    shoff = struct.unpack_from(end + shoff_format, blob, shoff_at)[0]
+    shentsize, shnum = struct.unpack_from(end + "HH", blob, shentsize_at)
+    # Each header is followed by bytes that read as garbage at any other stride.
+    headers = [blob[shoff + i * shentsize : shoff + (i + 1) * shentsize] for i in range(shnum)]
+    blob[shoff:] = b"".join(header + b"\xff" * extra for header in headers)
+    struct.pack_into(end + "H", blob, shentsize_at, shentsize + extra)
+    scan = scan_elf_strings(bytes(blob))
+    assert scan.runs == ["https://a.example.com/model"]
     assert scan.warnings == []
 
 

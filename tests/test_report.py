@@ -14,6 +14,12 @@ def reference_render(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)
 
 
+def lines_of(text: str) -> list[str]:
+    # A failing comparison of long texts is reported line by line: pytest's
+    # character diff of two whole documents takes minutes.
+    return text.split("\n")
+
+
 # Strings full of what the renderer must not mistake for structure: quotes,
 # backslashes, braces, control characters, non-BMP text, and the row boundary
 # itself as literal text. No surrogates: a UTF-8 report cannot hold one, and
@@ -53,7 +59,6 @@ _reports = st.fixed_dictionaries(
         "verdicts": st.lists(_row, max_size=4),
         "summary": _text,
         "capabilities": st.lists(_text, max_size=3),
-        "kind_counts": st.dictionaries(_text, st.integers(0, 99), max_size=3),
         "app_label": st.none() | st.fixed_dictionaries({"domain": _text, "task": _text}),
         "obfuscation": st.fixed_dictionaries(
             {
@@ -65,13 +70,26 @@ _reports = st.fixed_dictionaries(
         "warnings": st.lists(_text, max_size=3),
         "degraded": st.booleans(),
         "generated_at": _text,
-    }
+    },
+    optional={"kind_counts": st.dictionaries(_text, st.integers(0, 99), max_size=3)},
 )
+_scalars = st.none() | st.booleans() | st.integers() | st.floats() | _text
 _json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | _text,
+    _scalars,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_text, inner, max_size=4),
     max_leaves=20,
 )
+
+
+@st.composite
+def _long_flat_lists(draw):
+    """257 to 700 scalars, more than one 256-item piece, drawn from a small pool."""
+    pool = draw(st.lists(_scalars, min_size=1, max_size=8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # a seed shrinks faster than every choice
+    return [rng.choice(pool) for _ in range(draw(st.integers(257, 700)))]
+
+
+_flat_dicts_in_lists = st.lists(st.dictionaries(_text, _scalars, max_size=4), min_size=1, max_size=4)
 
 
 @given(_reports)
@@ -79,9 +97,9 @@ def test_render_json_equals_indented_json_dumps_on_reports(report):
     assert render_json(report) == reference_render(report)
 
 
-@given(_json_values)
+@given(_json_values | _long_flat_lists() | _flat_dicts_in_lists)
 def test_render_json_equals_indented_json_dumps_on_any_json_value(value):
-    assert render_json(value) == reference_render(value)
+    assert lines_of(render_json(value)) == lines_of(reference_render(value))
 
 
 @given(_reports)
@@ -104,8 +122,8 @@ class _Level(IntEnum):
 # backslashes, newlines and text beyond ASCII.
 _key = st.text(st.sampled_from(["%", "s", '"', "\\", "\n", "é", "\U0001f600", "k"]), min_size=1, max_size=4)
 # Column types the template encodes apart (str or None, bool, exact int) and
-# values it hands to the C encoder one by one: 1 beside True and 1.0, NaN and
-# infinities, a str Enum and an IntEnum.
+# values that send their piece to the per-item path: 1 beside True and 1.0,
+# NaN and infinities, a str Enum and an IntEnum.
 _column = st.one_of(
     st.lists(_optional_text, min_size=1, max_size=4),
     st.lists(st.booleans(), min_size=1, max_size=2),
@@ -125,12 +143,6 @@ def _tables(draw, min_rows=0):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # a seed shrinks faster than every choice
     count = draw(st.integers(min_rows, 700))
     return [{key: rng.choice(pool) for key, pool in pools.items()} for _ in range(count)]
-
-
-def lines_of(text: str) -> list[str]:
-    # A failing comparison of long texts is reported line by line: pytest's
-    # character diff of two whole documents takes minutes.
-    return text.split("\n")
 
 
 @given(_tables())
