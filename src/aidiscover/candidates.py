@@ -180,7 +180,7 @@ def load_model_suffixes(path: Union[str, Path, None] = None) -> tuple[str, ...]:
 
     Without a path, the packaged default list is used.
     """
-    entries, _ = parse_list(read_list("model_suffixes.txt", path))
+    entries = parse_list(read_list("model_suffixes.txt", path))
     return tuple(dict.fromkeys(e if e.startswith(".") else "." + e for e in entries))
 
 

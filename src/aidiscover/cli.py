@@ -30,7 +30,7 @@ from .report import (
     write_report,
 )
 from .taxonomy import AppAggregate, CorpusStats, aggregate_stats, label_of
-from .utf8 import NOT_UTF8, holds_surrogate
+from .utf8 import holds_surrogate, jsonl_lines, loads
 from .whitelist import EmptyWhitelist, Whitelist, load_whitelist
 
 log = logging.getLogger(__name__)
@@ -70,19 +70,28 @@ _CONFIG_CHOICES = {
     "audience": AUDIENCES,
     "backend": BACKENDS,
 }
+_CONFIG_KEYS = {*_CONFIG_TYPES, *_CONFIG_CHOICES, "sampling"}
+_SAMPLING_KEYS = {f.name for f in fields(SamplingConfig)}
 
 
 def _load_config_file(path: Optional[str]) -> dict:
-    """The JSON config object, every known key of it checked; null is unset."""
+    """The JSON config object, every key of it checked; null is unset."""
     if not path:
         return {}
-    cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        cfg = loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     if cfg.get("sampling") is None:
         cfg["sampling"] = {}
     if not isinstance(cfg["sampling"], dict):
         raise ValueError(f"{path}: 'sampling' must be a JSON object")
+    unknown = [k for k in cfg if k not in _CONFIG_KEYS]
+    unknown += [f"sampling.{k}" for k in cfg["sampling"] if k not in _SAMPLING_KEYS]
+    if unknown:
+        raise ValueError(f"{path}: unknown key {', '.join(unknown)}")
     checks = [(name, cfg.get(name), kind) for name, kind in _CONFIG_TYPES.items()]
     checks += [
         (f"sampling.{f.name}", cfg["sampling"].get(f.name), _NUMBER) for f in fields(SamplingConfig)
@@ -273,26 +282,22 @@ def load_label_file(path: Path) -> dict[str, str]:
     Component records carry (kind, text); app records carry app_id.
     """
     labels: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if holds_surrogate(line):
-                raise ValueError(f"{path}:{lineno}: {NOT_UTF8}")
+    with jsonl_lines(path) as lines:
+        for lineno, line in lines:
             try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+                payload = loads(line)
+            except ValueError as exc:  # not JSON, or a lone surrogate
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if not isinstance(payload, dict):
                 raise ValueError(f"{path}:{lineno}: row must be a JSON object")
             label = payload.get("label")
             if label not in ("AI", "NonAI"):
                 raise ValueError(f"{path}:{lineno}: label must be AI or NonAI")
-            if "app_id" not in payload and not (
-                isinstance(payload.get("kind"), str) and isinstance(payload.get("text"), str)
+            if not (
+                isinstance(payload["app_id"], str) if "app_id" in payload
+                else isinstance(payload.get("kind"), str) and isinstance(payload.get("text"), str)
             ):
-                raise ValueError(f"{path}:{lineno}: row needs an app_id, or kind and text strings")
+                raise ValueError(f"{path}:{lineno}: row needs an app_id string, or kind and text strings")
             labels[_label_key(payload)] = label
     return labels
 

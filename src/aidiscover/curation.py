@@ -3,7 +3,6 @@ semantic pass through the gateway."""
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
@@ -14,7 +13,7 @@ from typing import Optional, Sequence, Union
 from .gateway import GatewayError, LlmGateway, TaskId
 from .listfile import parse_list, read_list
 from .pipeline import PipelineConfig
-from .utf8 import NOT_UTF8, decodes_to_surrogate
+from .utf8 import jsonl_lines, loads
 
 log = logging.getLogger(__name__)
 
@@ -53,25 +52,18 @@ def load_keywords(path: Union[str, Path, None] = None) -> KeywordList:
 
     Without a path, the packaged default list is used.
     """
-    terms, _ = parse_list(read_list("keywords.txt", path))
-    return KeywordList(terms=terms)
+    return KeywordList(terms=parse_list(read_list("keywords.txt", path)))
 
 
 def load_descriptions(path: Union[str, Path]) -> list[AppDescription]:
     """Read line-delimited JSON records (package_name, text, release_date)."""
     out: list[AppDescription] = []
-    # A byte that is not UTF-8 decodes to a lone surrogate, refused with its row.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with jsonl_lines(path) as lines:
+        for lineno, line in lines:
             try:
-                payload = json.loads(line)
+                payload = loads(line)
                 if not isinstance(payload, dict):
                     raise ValueError("not a JSON object")
-                if decodes_to_surrogate(line, payload):
-                    raise ValueError(NOT_UTF8)
                 name, text = payload.get("package_name"), payload.get("text", "")
                 released = payload.get("release_date")
                 if not (isinstance(name, str) and isinstance(text, str)
@@ -126,15 +118,12 @@ def curate(
         results = gateway.run_items(TaskId.DESCRIPTION_SCREEN, [d.text for d in stage1], batch_size)
     except GatewayError as exc:
         warnings.append(f"semantic stage unavailable, excluding all stage-1 survivors: {exc}")
-        results = None
-
-    if results is not None:
-        for desc, result in zip(stage1, results):
-            if result.error or not result.payload:
-                warnings.append(f"{desc.package_name}: semantic screen item failed, excluded")
-                continue
-            if result.payload["likely_ai"]:
-                selected.append(desc)
+        results = []
+    for desc, result in zip(stage1, results):
+        if result.error:
+            warnings.append(f"{desc.package_name}: semantic screen item failed, excluded")
+        elif result.payload["likely_ai"]:
+            selected.append(desc)
 
     return CurationResult(
         selected=selected,

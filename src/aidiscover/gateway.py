@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Protocol, Sequence, TypeVar
 
-from .utf8 import NOT_UTF8, decodes_to_surrogate
+from .utf8 import loads
 
 log = logging.getLogger(__name__)
 
@@ -97,9 +97,8 @@ class PromptTemplate:
 
 @dataclass
 class ItemResult:
-    """Parsed payload for one request item, or a per-item failure."""
+    """The parsed payload for the item at this result's position, or None and a per-item failure."""
 
-    item_index: int
     payload: Optional[dict]
     error: Optional[str] = None
 
@@ -199,20 +198,16 @@ def render_prompt(template: PromptTemplate, items: Sequence[str], sampling: Samp
 
 def _extract_json(raw: str, opener: str, closer: str):
     try:
-        data = json.loads(raw)
-    except json.JSONDecodeError:
-        start = raw.find(opener)
-        end = raw.rfind(closer)
-        if start < 0 or end <= start:
-            raise MalformedJson(f"no JSON {opener}...{closer} in response")
-        raw = raw[start : end + 1]
         try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MalformedJson(f"unparseable response: {exc}") from exc
-    if decodes_to_surrogate(raw, data):
-        raise MalformedJson(NOT_UTF8)
-    return data
+            return loads(raw)
+        except json.JSONDecodeError:
+            start = raw.find(opener)
+            end = raw.rfind(closer)
+            if start < 0 or end <= start:
+                raise MalformedJson(f"no JSON {opener}...{closer} in response")
+            return loads(raw[start : end + 1])
+    except ValueError as exc:  # not JSON, or a lone surrogate
+        raise MalformedJson(f"unparseable response: {exc}") from exc
 
 
 _REQUIRED_FIELDS = {
@@ -392,22 +387,22 @@ class LlmGateway:
         except ContextOverflow as exc:
             if len(items) == 1:
                 log.warning("item does not fit context alone: %s", exc)
-                return [ItemResult(0, None, error=f"ContextOverflow: {exc}")]
+                return [ItemResult(None, error=f"ContextOverflow: {exc}")]
             mid = (len(items) + 1) // 2
             halves = (items[:mid], items[mid:])
-            return _renumber([self.run_batch(template, half) for half in halves])
+            return [r for half in halves for r in self.run_batch(template, half)]
 
         task_id = template.task_id
         try:
             payloads = self._resend(
                 task_id, items, prompt, lambda raw: parse_aligned(task_id, raw, len(items))
             )
-            return [ItemResult(i, payload) for i, payload in enumerate(payloads)]
+            return [ItemResult(payload) for payload in payloads]
         except (MalformedJson, MisalignedOutput) as failure:
             if len(items) == 1:
-                return [ItemResult(0, None, error=f"{type(failure).__name__}: {failure}")]
+                return [ItemResult(None, error=f"{type(failure).__name__}: {failure}")]
             log.warning("falling back to singleton batches after: %s", failure)
-        return _renumber([self.run_batch(template, (item,)) for item in items])
+        return [r for item in items for r in self.run_batch(template, (item,))]
 
     def run_items(self, task_id: str, items: Sequence[str], batch_size: int = 3) -> list[ItemResult]:
         """Chunk items and run every batch; results keep global input order.
@@ -419,7 +414,7 @@ class LlmGateway:
         """
         template = self.templates[task_id]
         batches = [(template, tuple(b)) for b in chunk(items, batch_size)]
-        return _renumber(self._run_all(self.run_batch, batches))
+        return [r for batch in self._run_all(self.run_batch, batches) for r in batch]
 
     def summary_fit(self, items: Sequence[str]) -> int:
         """Length of the longest prefix of ``items`` whose Summarize prompt fits.
@@ -490,11 +485,3 @@ class _Gather:
                 raise error
         return self.results
 
-
-def _renumber(batches: list[list[ItemResult]]) -> list[ItemResult]:
-    """Concatenate batch results, offsetting each batch's item indexes."""
-    out: list[ItemResult] = []
-    for batch in batches:
-        base = len(out)
-        out.extend(ItemResult(base + r.item_index, r.payload, r.error) for r in batch)
-    return out

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, NamedTuple, Optional, Union
 
 from .gateway import MalformedJson, summary_payload
-from .utf8 import NOT_UTF8, decodes_to_surrogate
+from .utf8 import NOT_UTF8, decodes_to_surrogate, jsonl_lines, loads
 
 log = logging.getLogger(__name__)
 
@@ -182,11 +182,8 @@ class JsonlLog:
         """
         if self.path is None or not self.path.exists():
             return
-        with open(self.path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
+        with jsonl_lines(self.path) as lines:
+            for lineno, line in lines:
                 try:
                     entry = decode(line)
                 except (KeyError, TypeError, ValueError) as exc:
@@ -268,9 +265,7 @@ def kb_sync(path: Union[str, Path, None], clock: Callable[[], datetime] = utc_no
 
 
 def _summary_entry(line: str) -> tuple[str, dict]:
-    payload = json.loads(line)
-    if decodes_to_surrogate(line, payload):
-        raise ValueError(NOT_UTF8)
+    payload = loads(line)
     if not isinstance(payload["digest"], str):
         raise ValueError("digest must be a string")
     try:

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import re
 from importlib import resources
 from pathlib import Path
 from typing import Union
 
 from .utf8 import NOT_UTF8, holds_surrogate
-
-_VERSION_COMMENT = re.compile(r"^#\s*version\s*:\s*(\S+)", re.IGNORECASE)
 
 
 def read_list(name: str, path: Union[str, Path, None] = None) -> str:
@@ -26,19 +23,14 @@ def read_list(name: str, path: Union[str, Path, None] = None) -> str:
     return text
 
 
-def parse_list(text: str) -> tuple[tuple[str, ...], str]:
-    """Lowercased entries in first-seen order, and the ``# version:`` header.
+def parse_list(text: str) -> tuple[str, ...]:
+    """Lowercased entries in first-seen order.
 
-    '#' starts a comment; blank lines and repeats are dropped. The version is
-    "0" when the file has no header.
+    '#' starts a comment; blank lines and repeats are dropped.
     """
-    version = "0"
     entries: list[str] = []
     for line in text.splitlines():
-        header = _VERSION_COMMENT.match(line.strip())
-        if header:
-            version = header.group(1)
         entry = line.split("#", 1)[0].strip().lower()
         if entry:
             entries.append(entry)
-    return tuple(dict.fromkeys(entries)), version
+    return tuple(dict.fromkeys(entries))

@@ -89,13 +89,13 @@ def component_line(text: str, analysis: Optional[str]) -> str:
 
 
 def _detection_of(result: ItemResult) -> tuple[bool, str]:
-    if result.error or not result.payload:
+    if result.error:
         return False, FAILURE_RATIONALE
     return result.payload["is_ai"], result.payload["rationale"]
 
 
 def _analysis_of(result: ItemResult) -> str:
-    if result.error or not result.payload:
+    if result.error:
         return FAILURE_ANALYSIS
     return result.payload["analysis"]
 

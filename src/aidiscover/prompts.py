@@ -11,15 +11,6 @@ from .pipeline import PipelineConfig
 AUDIENCES = ("user", "developer", "regulator")
 
 
-def _raw() -> dict:
-    text = resources.files("aidiscover.data").joinpath("prompts.json").read_text("utf-8")
-    return json.loads(text)
-
-
-def prompts_version() -> str:
-    return _raw().get("version", "0")
-
-
 def load_templates(
     few_shot_k: int = PipelineConfig.few_shot_k, audience: str = PipelineConfig.audience
 ) -> dict[str, PromptTemplate]:
@@ -29,7 +20,7 @@ def load_templates(
     """
     if audience not in AUDIENCES:
         raise ValueError(f"audience must be one of {AUDIENCES}, got {audience!r}")
-    raw = _raw()["tasks"]
+    raw = json.loads(resources.files("aidiscover.data").joinpath("prompts.json").read_text("utf-8"))["tasks"]
     templates: dict[str, PromptTemplate] = {}
     for task_id in (TaskId.ANALYZE, TaskId.DETECT, TaskId.CLASSIFY_TAXONOMY, TaskId.DESCRIPTION_SCREEN):
         spec = raw[task_id]

@@ -33,6 +33,7 @@ from .taxonomy import (
     label_of,
     summarize_app,
 )
+from .utf8 import loads
 from .whitelist import Whitelist, apply_whitelist
 
 log = logging.getLogger(__name__)
@@ -314,7 +315,10 @@ def read_report(path: Union[str, Path]) -> dict:
     Raises:
         ValueError: naming the file, when it is not such a report.
     """
-    report = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        report = loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, not JSON, or a lone surrogate
+        raise ValueError(f"{path}: {exc}") from exc
     if not (
         isinstance(report, dict)
         and isinstance(report.get("app_id"), str)

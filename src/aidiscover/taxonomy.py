@@ -226,7 +226,7 @@ def classify_components(
             log.warning("taxonomy classification failed: %s", exc)
             results = []
         for verdict, result in zip(pending, results):
-            if result.payload and not result.error:
+            if not result.error:
                 verdict.domain, verdict.task = result.payload["domain"], result.payload["task"]
     pairs = [(v.domain, v.task) for v in verdicts]
     # Many verdicts share a pair; label_of runs once per distinct one.

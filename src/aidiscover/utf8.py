@@ -5,14 +5,16 @@ such as ``\\ud800`` decodes to one, and so does a byte that is not UTF-8,
 in a POSIX file name or in a file read with ``errors="surrogateescape"``.
 No UTF-8 file can hold one (RFC 3629 section 3), so a report, KB line or
 summary-cache line built from such text cannot be written. Each input
-boundary refuses it: backend replies, replayed log lines, description rows
-and APK paths.
+boundary refuses it: backend replies, replayed log lines, label and
+description rows, config and report files, and APK paths.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from contextlib import contextmanager
+from operator import itemgetter
 
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
@@ -35,3 +37,19 @@ def decodes_to_surrogate(raw: str, data) -> bool:
     if "\\" in raw:
         raw = json.dumps(data, ensure_ascii=False)
     return holds_surrogate(raw)
+
+
+def loads(raw: str):
+    """``json.loads(raw)``; a value holding a lone surrogate raises ValueError(NOT_UTF8)."""
+    data = json.loads(raw)
+    if decodes_to_surrogate(raw, data):
+        raise ValueError(NOT_UTF8)
+    return data
+
+
+@contextmanager
+def jsonl_lines(path):
+    """``(line number, stripped line)`` per non-blank line, iterated in C. A byte
+    that is not UTF-8 reaches the caller as a lone surrogate of its own line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        yield filter(itemgetter(1), enumerate(map(str.strip, fh), start=1))

@@ -24,22 +24,20 @@ class Whitelist:
     """
 
     prefixes: frozenset[str]
-    version: str = "0"
 
     def matches(self, dotted: str) -> bool:
         return not self.prefixes.isdisjoint(dotted_prefixes(dotted.lower()))
 
     @classmethod
     def empty(cls) -> "Whitelist":
-        return cls(prefixes=frozenset(), version="empty")
+        return cls(prefixes=frozenset())
 
 
 def parse_whitelist(text: str) -> Whitelist:
-    entries, version = parse_list(text)
-    prefixes = frozenset(e.rstrip(".") for e in entries) - {""}
+    prefixes = frozenset(e.rstrip(".") for e in parse_list(text)) - {""}
     if not prefixes:
         raise EmptyWhitelist("no prefixes parsed; pipeline may proceed unfiltered")
-    return Whitelist(prefixes=prefixes, version=version)
+    return Whitelist(prefixes=prefixes)
 
 
 def load_whitelist(path: Union[str, Path, None] = None) -> Whitelist:

@@ -371,8 +371,32 @@ import json as _json
 import threading as _threading
 import time as _time
 
-from aidiscover.backends import MockBackend
-from aidiscover.gateway import BackendUnavailable, TaskId
+from aidiscover.backends import MARKERS, MockBackend
+from aidiscover.gateway import BackendUnavailable, RenderedRequest, SamplingConfig, TaskId
+
+_ITEM_TOKENS = [m.token for m in MARKERS] + ["plain"]
+
+
+def marked_items(n: int, prefix: str = "com.item") -> list[str]:
+    """``n`` distinct item names cycling through the mock's markers and one
+    plain name, so the mock answers neighbouring items differently."""
+    return [f"{prefix}{i}.{_ITEM_TOKENS[i % len(_ITEM_TOKENS)]}" for i in range(n)]
+
+
+def _without_index(row: dict) -> dict:
+    return {name: value for name, value in row.items() if name != "index"}
+
+
+def mock_rows(task_id: str, items) -> list[dict]:
+    """The mock's row for each item, without its ``index``: what the result
+    at that item's position must hold, whatever the batching."""
+    request = RenderedRequest(task_id, tuple(items), "", SamplingConfig())
+    return [_without_index(row) for row in _json.loads(MockBackend().complete(request))]
+
+
+def result_rows(results) -> list[dict]:
+    """Each result's payload without its batch-local ``index``."""
+    return [_without_index(r.payload) for r in results]
 
 
 class ScriptedBackend:

@@ -23,7 +23,7 @@ from aidiscover.taxonomy import AppAggregate, DomainLabel, TaxonomyLabel, aggreg
 from aidiscover.whitelist import Whitelist, apply_whitelist, load_whitelist
 
 from conftest import build_golden_apk, make_fixture_corpus, make_gateway, write_jsonl
-from helpers import DroppingBackend
+from helpers import DroppingBackend, marked_items, mock_rows, result_rows
 from test_candidates import GOLDEN_EXPECTED, serialize
 from test_curation import WISE_DESCRIPTION
 from test_metrics import brute_force_binary_kappa
@@ -160,15 +160,15 @@ def test_criterion_05_batching():
 
     for n in (0, 1, 2, 3, 4, 7, 100):
         gateway = make_gateway()
-        items = [f"com.pkg.item{i}" for i in range(n)]
+        items = marked_items(n, prefix="com.pkg.item")
         results = gateway.run_items(TaskId.DETECT, items, batch_size=3)
         assert gateway.call_count == math.ceil(n / 3), f"N={n}"
-        assert sorted(r.item_index for r in results) == list(range(n))
+        assert result_rows(results) == mock_rows(TaskId.DETECT, items), f"N={n}"
 
     gateway = make_gateway(DroppingBackend())
-    results = gateway.run_items(TaskId.DETECT, ["a.mlkit.one", "b.plain.two", "c.speech.three"])
-    assert [r.item_index for r in results] == [0, 1, 2]
-    assert all(r.payload is not None for r in results)
+    items = ["a.mlkit.one", "b.plain.two", "c.speech.three"]
+    results = gateway.run_items(TaskId.DETECT, items)
+    assert result_rows(results) == mock_rows(TaskId.DETECT, items)
     _report(5, "request count = ceil(N/3) for all N; misalignment fallback kept per-item results")
 
 

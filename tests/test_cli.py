@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -266,8 +267,12 @@ class TestEvaluate:
             '["Package", "com.b", "AI"]',
             '{"kind": Package',
             '{"kind": "Package", "text": "caf\udce9", "label": "AI"}',  # byte 0xE9, not UTF-8
+            '{"app_id": 5, "label": "AI"}',
+            '{"app_id": null, "label": "AI"}',
+            '{"kind": "Package", "text": "com.\\ud800", "label": "AI"}',
         ],
-        ids=["no-text", "not-an-object", "invalid-json", "not-utf8"],
+        ids=["no-text", "not-an-object", "invalid-json", "not-utf8", "app-id-a-number", "app-id-null",
+             "escaped-lone-surrogate"],
     )
     def test_malformed_truth_row_names_its_line(self, tmp_path, capsys, bad_line):
         good = {"kind": "Package", "text": "com.a", "label": "AI"}
@@ -315,6 +320,17 @@ def seed_kb(path: Path, spec: list[tuple[str, str, int, str | None, str | None]]
                 fh.write(record.to_line() + "\n")
                 row += 1
     return path
+
+
+def _edited(edit):
+    """A report spoiler that applies ``edit`` to the decoded report."""
+
+    def spoil(text: str) -> str:
+        report = json.loads(text)
+        edit(report)
+        return json.dumps(report)
+
+    return spoil
 
 
 class TestStats:
@@ -407,12 +423,15 @@ class TestStats:
     @pytest.mark.parametrize(
         "spoil",
         [
-            lambda report: report["verdicts"][0].pop("is_ai"),
-            lambda report: report.update(app_label="CV"),
-            lambda report: report.update(kind_counts=5),
-            lambda report: report.update(kind_counts={"Package": "3"}),
-            lambda report: report.update(kind_counts=None),
-            lambda report: report.update(kind_counts={"Package": True}),
+            _edited(lambda report: report["verdicts"][0].pop("is_ai")),
+            _edited(lambda report: report.update(app_label="CV")),
+            _edited(lambda report: report.update(kind_counts=5)),
+            _edited(lambda report: report.update(kind_counts={"Package": "3"})),
+            _edited(lambda report: report.update(kind_counts=None)),
+            _edited(lambda report: report.update(kind_counts={"Package": True})),
+            lambda text: text[: len(text) // 2],
+            lambda text: text.replace("{", '{"note": "\\ud800", ', 1),
+            lambda text: text.replace("{", '{"note": "caf\udce9", ', 1),  # byte 0xE9, not UTF-8
         ],
         ids=[
             "row_without_is_ai",
@@ -421,6 +440,9 @@ class TestStats:
             "kind_count_a_string",
             "kind_counts_null",
             "kind_count_a_bool",
+            "truncated",
+            "escaped_lone_surrogate",
+            "byte_not_utf8",
         ],
     )
     def test_report_with_a_malformed_field_is_an_error_naming_it(
@@ -429,9 +451,7 @@ class TestStats:
         apks, component_truth, _ = fixture_corpus
         _, out_dir = analyze(tmp_path, [apks[0]])
         path = out_dir / "app_00.json"
-        report = json.loads(path.read_text())
-        spoil(report)
-        path.write_text(json.dumps(report))
+        path.write_text(spoil(path.read_text(encoding="utf-8")), encoding="utf-8", errors="surrogateescape")
         truth = write_jsonl(tmp_path / "truth.jsonl", component_truth)
         capsys.readouterr()
         argv = {
@@ -503,6 +523,9 @@ class TestUsage:
             {"order": ""},
             {"backend": ""},
             {"audience": "everyone"},
+            {"batchsize": 7},
+            {"sampling": {"temprature": 1.5}},
+            {"model": "m\ud800"},
         ],
     )
     def test_malformed_config_is_an_error_naming_the_file(self, tmp_path, capsys, command, config):
@@ -516,6 +539,31 @@ class TestUsage:
         assert run_cli(command, "--config", path, *args) == cli.EXIT_FAILURE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize(
+        "config, named",
+        [
+            ({"batchsize": 7}, "batchsize"),
+            ({"sampling": {"temprature": 1.5}}, "sampling.temprature"),
+            ({"batchsize": 7, "sampling": {"temprature": 1.5}}, "batchsize, sampling.temprature"),
+        ],
+    )
+    def test_unknown_config_key_is_refused_naming_the_file_and_key(self, tmp_path, config, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unknown key {re.escape(named)}$"):
+            cli._load_config_file(str(path))
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"endpoint": "http://host/\\udfff"}', '{"kb": "caf\udce9.jsonl"}'],
+        ids=["escaped-lone-surrogate", "byte-not-utf8"],
+    )
+    def test_config_text_no_utf8_file_can_hold_is_refused_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            cli._load_config_file(str(path))
 
     @pytest.mark.parametrize("key", ["kb", "whitelist"])
     def test_empty_path_in_config_is_refused(self, tmp_path, fixture_corpus, capsys, key):

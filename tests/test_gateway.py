@@ -28,7 +28,7 @@ from aidiscover.gateway import (
 from aidiscover.prompts import load_templates
 
 from conftest import make_gateway
-from helpers import DroppingBackend, FailingCall, ScriptedBackend
+from helpers import DroppingBackend, FailingCall, ScriptedBackend, marked_items, mock_rows, result_rows
 
 
 class TestChunk:
@@ -213,19 +213,17 @@ class TestParseAligned:
 class TestRunBatch:
     def test_mock_three_items_aligned(self):
         gateway = make_gateway()
-        results = gateway.run_items(
-            TaskId.DETECT,
-            ["com.google.mlkit.vision", "java.util.List", "org.tensorflow.lite"],
-        )
-        assert [r.item_index for r in results] == [0, 1, 2]
+        items = ["com.google.mlkit.vision", "java.util.List", "org.tensorflow.lite"]
+        results = gateway.run_items(TaskId.DETECT, items)
+        assert result_rows(results) == mock_rows(TaskId.DETECT, items)
         assert [r.payload["is_ai"] for r in results] == [True, False, True]
         assert gateway.call_count == 1
 
     def test_misalignment_triggers_singleton_fallback(self):
         gateway = make_gateway(DroppingBackend())
-        results = gateway.run_items(TaskId.DETECT, ["a.mlkit.x", "b.plain.y", "c.speech.z"])
-        assert [r.item_index for r in results] == [0, 1, 2]
-        assert all(r.payload is not None for r in results)
+        items = ["a.mlkit.x", "b.plain.y", "c.speech.z"]
+        results = gateway.run_items(TaskId.DETECT, items)
+        assert result_rows(results) == mock_rows(TaskId.DETECT, items)
         assert [r.payload["is_ai"] for r in results] == [True, False, True]
         # 1 initial + 2 whole-batch retries + 3 singletons
         assert gateway.call_count == 6
@@ -279,7 +277,7 @@ class TestRunBatch:
         big_b = "plain." + "b" * 4000
         template = load_templates()[TaskId.DETECT]
         results = gateway.run_batch(template, (big_a, big_b))
-        assert [r.item_index for r in results] == [0, 1]
+        assert result_rows(results) == mock_rows(TaskId.DETECT, (big_a, big_b))
         assert results[0].payload["is_ai"] is True
         assert results[1].payload["is_ai"] is False
         assert gateway.call_count == 2
@@ -294,9 +292,9 @@ class TestRunBatch:
     @given(st.integers(min_value=0, max_value=17))
     def test_alignment_property(self, n):
         gateway = make_gateway()
-        items = [f"item.num{i}" for i in range(n)]
+        items = marked_items(n)
         results = gateway.run_items(TaskId.ANALYZE, items)
-        assert sorted(r.item_index for r in results) == list(range(n))
+        assert result_rows(results) == mock_rows(TaskId.ANALYZE, items)
         assert gateway.call_count == math.ceil(n / 3)
 
 
@@ -402,8 +400,8 @@ def run_mixed_calls(gateway, calls: int) -> None:
         if i % 2:
             assert gateway.run_summary([f"com.mix{i}.vision :: object detection"])["summary"]
         else:
-            results = gateway.run_items(TaskId.DETECT, [f"com.mix{i}.k{j}" for j in range(9)])
-            assert [r.item_index for r in results] == list(range(9))
+            items = marked_items(9, prefix=f"com.mix{i}.k")
+            assert result_rows(gateway.run_items(TaskId.DETECT, items)) == mock_rows(TaskId.DETECT, items)
 
     with ThreadPoolExecutor(max_workers=3) as callers:
         list(callers.map(call, range(calls)))
@@ -424,7 +422,7 @@ class TestOnePool:
 class TestConcurrentDispatch:
     def test_twelve_batches_fill_four_slots_and_keep_order(self):
         class ShrinkingDelay:
-            """Batch b (items item<3b>..) sleeps (12 - b) * 20 ms: later batches finish first."""
+            """Batch b (items com.item<3b>..) sleeps (12 - b) * 20 ms: later batches finish first."""
 
             model_id = "shrinking"
 
@@ -437,7 +435,7 @@ class TestConcurrentDispatch:
                 self.start = threading.Barrier(4, timeout=5)
 
             def complete(self, request):
-                batch = int(request.items[0].removeprefix("com.item")) // 3
+                batch = int(request.items[0].removeprefix("com.item").partition(".")[0]) // 3
                 with self.lock:
                     self.active += 1
                     self.peak = max(self.peak, self.active)
@@ -450,12 +448,12 @@ class TestConcurrentDispatch:
                 return self.inner.complete(request)
 
         backend = ShrinkingDelay()
-        items = [f"com.item{i}" for i in range(36)]
+        items = marked_items(36)
         results = make_gateway(backend, max_in_flight=4).run_items(TaskId.ANALYZE, items)
         expected = make_gateway(max_in_flight=1).run_items(TaskId.ANALYZE, items)
         assert backend.peak == 4
         assert backend.finished != sorted(backend.finished)
-        assert [r.item_index for r in results] == list(range(36))
+        assert result_rows(results) == mock_rows(TaskId.ANALYZE, items)
         assert [r.payload for r in results] == [r.payload for r in expected]
 
     def test_singleton_fallbacks_stay_on_the_sending_thread(self):
@@ -470,11 +468,10 @@ class TestConcurrentDispatch:
                 return super().complete(request)
 
         backend = ThreadRecordingDropper()
-        items = [f"com.mlkit.k{i}" for i in range(36)]
+        items = marked_items(36, prefix="com.k")
         gateway = make_gateway(backend, max_in_flight=4)
         results = gateway.run_items(TaskId.DETECT, items)
-        assert all(r.payload is not None for r in results)
-        assert [r.item_index for r in results] == list(range(36))
+        assert result_rows(results) == mock_rows(TaskId.DETECT, items)
         batch_thread = {}
         for sent_items, thread in backend.sent:
             if len(sent_items) > 1:
@@ -524,13 +521,13 @@ class TestConcurrentDispatch:
         sys.setswitchinterval(1e-6)
         try:
             gateway = make_gateway(max_in_flight=8)
-            items = [f"com.stress.k{i}" for i in range(60)]
+            items = marked_items(60, prefix="com.stress.k")
             with ThreadPoolExecutor(max_workers=3) as apps:
                 runs = [apps.submit(gateway.run_items, TaskId.DETECT, items) for _ in range(3)]
                 results = [run.result(timeout=60) for run in runs]
         finally:
             sys.setswitchinterval(interval)
-        assert all([r.item_index for r in result] == list(range(60)) for result in results)
+        assert all(result_rows(result) == mock_rows(TaskId.DETECT, items) for result in results)
         assert gateway.call_count == gateway.call_counts[TaskId.DETECT] == 3 * 20
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from aidiscover.gateway import TaskId
-from aidiscover.prompts import AUDIENCES, load_templates, prompts_version
+from aidiscover.prompts import AUDIENCES, load_templates
 
 
 def test_all_tasks_have_templates():
@@ -39,7 +39,3 @@ def test_audience_swaps_summarize_instruction():
 def test_unknown_audience_rejected():
     with pytest.raises(ValueError):
         load_templates(audience="investor")
-
-
-def test_version_pinned():
-    assert prompts_version() == "1"

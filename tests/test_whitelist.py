@@ -49,13 +49,6 @@ def test_load_default_whitelist():
     assert wl.matches("java.lang")
     assert wl.matches("androidx.core.view")
     assert not wl.matches("com.google.mlkit")
-    assert wl.version == "1"
-
-
-def test_version_comment(tmp_path):
-    path = tmp_path / "wl.txt"
-    path.write_text("# version: 7\njava.\n")
-    assert load_whitelist(path).version == "7"
 
 
 def test_prefix_matching_is_segment_aware():
