@@ -7,18 +7,24 @@ set per app, together with name-obfuscation statistics.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Union
 from urllib.parse import urlsplit
 
 from .apk import ApkArchive, EntryKind
 from .dex import DexSymbols, MethodRef, parse_dex
 from .listfile import parse_list, read_list
 from .native import scan_elf_strings
+
+if TYPE_CHECKING:  # whitelist.py imports this module
+    from .whitelist import Whitelist
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +39,7 @@ URL_RE = re.compile(
 _is_clean_signature = re.compile(r"[^\x00-\x1f\x7f]*").fullmatch
 _SIGNATURE_CLASS = re.compile(r"<([^:>]+):")
 _tuple_new = tuple.__new__
+_class_of = attrgetter("class_name")
 
 # Obfuscators rename to one- and two-letter identifiers.
 OBFUSCATED_SEGMENT_LEN = 2
@@ -63,6 +70,11 @@ class ApiSignature:
     def render(method: MethodRef) -> str:
         params = ",".join(method.param_types)
         return f"<{method.class_name}: {method.return_type} {method.name}({params})>"
+
+    @staticmethod
+    def head_of(class_name: str) -> str:
+        """The text before the first ``:`` of every signature rendered for a method of ``class_name``."""
+        return ("<" + class_name).partition(":")[0]
 
     @staticmethod
     def class_name_of(rendered: str) -> Optional[str]:
@@ -152,10 +164,18 @@ def package_of(class_name: str) -> Optional[str]:
     return head if sep else None
 
 
-def candidates_from_symbols(symbols: DexSymbols, source: str) -> list[Candidate]:
-    """Candidates from one parsed .dex file: packages, API signatures, URL strings."""
+def candidates_from_symbols(
+    symbols: DexSymbols, source: str, keeps_class: Optional[Callable[[str], bool]] = None
+) -> list[Candidate]:
+    """Candidates from one parsed .dex file: packages, API signatures, URL strings.
+
+    A method whose class fails ``keeps_class`` is skipped before it is rendered.
+    """
     packages = filter(None, map(package_of, symbols.class_names))
-    apis = map(ApiSignature.render, symbols.methods)
+    methods = symbols.methods
+    if keeps_class is not None:
+        methods = compress(methods, map(keeps_class, map(_class_of, methods)))
+    apis = map(ApiSignature.render, methods)
     return (
         _counted(CandidateKind.PACKAGE, packages, source, _is_clean_text)
         + _counted(CandidateKind.API, apis, source, _is_clean_signature)
@@ -269,12 +289,18 @@ def extract_candidates(
     archive: ApkArchive,
     app_id: str,
     model_suffixes: Optional[tuple[str, ...]] = None,
+    whitelist: Optional[Whitelist] = None,
 ) -> CandidateSet:
     """Run every extractor over one opened APK and merge the results.
 
     A missing .dex is a warning, not a failure: native and asset extraction
     still run. Unparseable .dex or .so entries are skipped with a warning.
+    With a ``whitelist``, the methods of each class it drops are skipped
+    unrendered, each class decided once; ``apply_whitelist`` drops the rest.
     """
+    keeps_class = None
+    if whitelist is not None:
+        keeps_class = functools.cache(lambda name: not whitelist.drops_api_head(ApiSignature.head_of(name)))
     warnings: list[str] = []
     groups: list[list[Candidate]] = []
     defined_classes: list[str] = []
@@ -288,7 +314,7 @@ def extract_candidates(
         except Exception as exc:  # noqa: BLE001 - per-entry isolation
             warnings.append(f"{entry.name}: dex parse failed ({exc})")
             continue
-        groups.append(candidates_from_symbols(symbols, entry.name))
+        groups.append(candidates_from_symbols(symbols, entry.name, keeps_class))
         defined_classes.extend(symbols.defined_class_names)
 
     for entry in archive.entries_of_kind(EntryKind.NATIVE_LIB):

@@ -50,7 +50,8 @@ class KbKey(NamedTuple):
 
     @classmethod
     def make(cls, kind: str, text: str) -> "KbKey":
-        return _tuple_new(cls, (kind, normalize_text(text)))  # see KbRecord.from_line
+        # normalize_text, inline as this runs once per candidate; tuple.__new__ as in KbRecord.from_line.
+        return _tuple_new(cls, (kind, " ".join(text.lower().split())))
 
 
 # The bytes of ``json.dumps(..., ensure_ascii=False, sort_keys=True)``
@@ -178,7 +179,7 @@ class JsonlLog:
 
         A byte that is not UTF-8 reaches ``decode`` as a lone surrogate, which
         it must refuse, so such a byte, a torn multi-byte tail included, costs
-        only its own line.
+        only its own line, as does JSON nested past the recursion limit.
         """
         if self.path is None or not self.path.exists():
             return
@@ -186,7 +187,7 @@ class JsonlLog:
             for lineno, line in lines:
                 try:
                     entry = decode(line)
-                except (KeyError, TypeError, ValueError) as exc:
+                except (KeyError, TypeError, ValueError, RecursionError) as exc:
                     self.corrupt_lines += 1
                     log.warning("%s:%d: skipping corrupt line (%s)", self.path, lineno, exc)
                     continue

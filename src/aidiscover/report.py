@@ -110,7 +110,7 @@ def analyze_app(
     try:
         gateway = gateway.for_app(turn.rank)
         with open_apk(apk_path) as archive:
-            cand_set = extract_candidates(archive, app_id, model_suffixes)
+            cand_set = extract_candidates(archive, app_id, model_suffixes, whitelist)
         filtered = apply_whitelist(cand_set, whitelist)
 
         run = run_pipeline(filtered, cfg, kb, gateway, turn)

@@ -40,9 +40,14 @@ def decodes_to_surrogate(raw: str, data) -> bool:
 
 
 def loads(raw: str):
-    """``json.loads(raw)``; a value holding a lone surrogate raises ValueError(NOT_UTF8)."""
-    data = json.loads(raw)
-    if decodes_to_surrogate(raw, data):
+    """``json.loads(raw)``; a value holding a lone surrogate raises ValueError(NOT_UTF8),
+    and one nested past the interpreter's recursion limit ValueError too."""
+    try:
+        data = json.loads(raw)
+        surrogate = decodes_to_surrogate(raw, data)
+    except RecursionError as exc:
+        raise ValueError(str(exc)) from None
+    if surrogate:
         raise ValueError(NOT_UTF8)
     return data
 

@@ -28,6 +28,13 @@ class Whitelist:
     def matches(self, dotted: str) -> bool:
         return not self.prefixes.isdisjoint(dotted_prefixes(dotted.lower()))
 
+    def drops_api_head(self, head: str) -> bool:
+        """Whether an API signature whose text before its first ``:`` is ``head``
+        is dropped: the class that ``head`` opens with ``<`` is whitelisted."""
+        # class_name_of(head + ":") is class_name_of(text) for a text with a ":".
+        class_name = ApiSignature.class_name_of(head + ":")
+        return class_name is not None and self.matches(class_name)
+
     @classmethod
     def empty(cls) -> "Whitelist":
         return cls(prefixes=frozenset())
@@ -60,12 +67,7 @@ def apply_whitelist(cand_set: CandidateSet, wl: Whitelist) -> CandidateSet:
     its first ``:``; each distinct class and name is decided once per call.
     """
     matches = functools.cache(wl.matches)
-
-    @functools.cache
-    def drops_class(head: str) -> bool:
-        # class_name_of(head + ":") is class_name_of(text) for a text with a ":".
-        class_name = ApiSignature.class_name_of(head + ":")
-        return class_name is not None and matches(class_name)
+    drops_class = functools.cache(wl.drops_api_head)
 
     # URL and model-asset candidates are never whitelisted away; the many API ones go first.
     api, package = CandidateKind.API, CandidateKind.PACKAGE

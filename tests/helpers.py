@@ -445,13 +445,16 @@ class FailingCall:
     so a gateway that noticed failures only in batch order would have sent
     every queued batch by then; every other call takes 20 ms, so a worker
     busy when the failure is raised is still in that call when it is seen.
+    With ``hold_first`` false the first call takes 20 ms too, for a failure
+    that can only come after it returned.
     """
 
     model_id = "failing-call"
 
-    def __init__(self, fail_at: int):
+    def __init__(self, fail_at: int, hold_first: bool = True):
         self.inner = MockBackend()
         self.fail_at = fail_at
+        self.hold_first = hold_first
         self.calls = 0
         self._lock = _threading.Lock()
         self._failed = _threading.Event()
@@ -463,7 +466,7 @@ class FailingCall:
         if number == self.fail_at:
             self._failed.set()
             raise BackendUnavailable(f"call {number} failed")
-        if number == 1:
+        if number == 1 and self.hold_first:
             self._failed.wait(5)
         else:
             _time.sleep(0.02)

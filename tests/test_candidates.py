@@ -20,6 +20,7 @@ from aidiscover.candidates import (
     Candidate,
     CandidateKind,
     candidates_from_symbols,
+    dotted_prefixes,
     extract_asset_candidates,
     extract_candidates,
     extract_native_candidates,
@@ -30,6 +31,7 @@ from aidiscover.candidates import (
 )
 from aidiscover.dex import MethodRef, parse_dex
 from aidiscover.native import BadElfMagic, ElfScan, scan_elf_strings
+from aidiscover.whitelist import Whitelist, apply_whitelist, parse_whitelist
 
 from conftest import MUTATIONS, OPENAI_BASE_URL, OPENAI_CHAT_URL, golden_dex1, golden_elf, mutate
 from helpers import DexBuilder, build_apk, build_elf32_msb, build_elf64
@@ -413,3 +415,60 @@ def test_two_dex_extraction_equals_the_reference_on_hostile_names(data):
     assert [(c.kind, c.text, c.source, c.occurrences) for c in cand_set.candidates] == (
         _reference_extraction(dexes)
     )
+
+
+# Class names the signature head, the whitelist's case folding and its segment
+# matching could each decide apart: ":", "<", ">", whitespace, control
+# characters, mixed case, text beyond ASCII (the Kelvin sign lowercases to
+# "k") and dots, so empty segments. Letters and dots come up most often, so
+# most signatures are clean.
+_class_names = st.text(st.sampled_from([*"aaBBkk.....:<> ", "\t", "\x00", "\xa0", "É", "é", "\u212a"]), max_size=8)
+
+
+@given(st.data())
+def test_whitelist_before_rendering_equals_the_whitelist_after(data):
+    names = data.draw(st.lists(_class_names.filter(bool), min_size=1, max_size=5, unique=True))
+    # Whitelist a prefix of about two in three names, each cut from the name or
+    # from the class its signatures name, so that one whitelist both drops and
+    # keeps classes, and near misses come up.
+    seen = (ApiSignature.class_name_of(ApiSignature.head_of(n) + ":") for n in names)
+    prefixes = {
+        data.draw(st.sampled_from(dotted_prefixes(name.lower()) + dotted_prefixes((parsed or name).lower())))
+        for name, parsed in zip(names, seen)
+        if data.draw(st.sampled_from([True, True, False]))
+    }
+    wl = Whitelist(prefixes=frozenset(prefixes - {""}) or frozenset({"a"}))
+    dexes = []
+    for source in ("classes.dex", "classes2.dex"):  # drawn from one pool, so classes repeat
+        builder = DexBuilder()
+        for cls in data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)):
+            methods = st.tuples(st.sampled_from(["void", *names]), st.sampled_from(["run", *names]), st.just(()))
+            builder.add_class(cls, data.draw(st.lists(methods, min_size=1, max_size=3)))
+        dexes.append((source, builder.build()))
+    with tempfile.TemporaryDirectory() as tmp:
+        with open_apk(build_apk(Path(tmp) / "two.apk", dexes)) as archive:
+            skipped = extract_candidates(archive, "two", None, wl)
+            rendered = extract_candidates(archive, "two")
+    filtered = apply_whitelist(rendered, wl)
+    assert apply_whitelist(skipped, wl) == filtered
+    # The skip drops exactly the API signatures the whitelist would: no more, and no fewer.
+    apis = [c for c in skipped.candidates if c.kind == CandidateKind.API]
+    assert apis == [c for c in filtered.candidates if c.kind == CandidateKind.API]
+
+
+def test_no_method_of_a_whitelisted_class_is_rendered(tmp_path, monkeypatch):
+    render = ApiSignature.render
+    seen = []
+    monkeypatch.setattr(ApiSignature, "render", staticmethod(lambda m: seen.append(m.class_name) or render(m)))
+    dex = DexBuilder()
+    for cls in ("java.util.Lister", "JAVA.Upper", "javax.crypto.Cipher", "com.acme.Thing"):
+        dex.add_class(cls, [("void", "go", []), ("int", "size", [])])
+    with open_apk(build_apk(tmp_path / "spy.apk", [("classes.dex", dex.build())])) as archive:
+        cand_set = extract_candidates(archive, "spy", None, parse_whitelist("java.\n"))
+    assert sorted(seen) == ["com.acme.Thing"] * 2 + ["javax.crypto.Cipher"] * 2
+    assert [c.text for c in cand_set.candidates if c.kind == CandidateKind.API] == [
+        "<com.acme.Thing: int size()>",
+        "<com.acme.Thing: void go()>",
+        "<javax.crypto.Cipher: int size()>",
+        "<javax.crypto.Cipher: void go()>",
+    ]

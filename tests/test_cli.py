@@ -432,6 +432,7 @@ class TestStats:
             lambda text: text[: len(text) // 2],
             lambda text: text.replace("{", '{"note": "\\ud800", ', 1),
             lambda text: text.replace("{", '{"note": "caf\udce9", ', 1),  # byte 0xE9, not UTF-8
+            lambda text: "[" * 100_000 + "]" * 100_000,
         ],
         ids=[
             "row_without_is_ai",
@@ -443,6 +444,7 @@ class TestStats:
             "truncated",
             "escaped_lone_surrogate",
             "byte_not_utf8",
+            "nested_past_the_recursion_limit",
         ],
     )
     def test_report_with_a_malformed_field_is_an_error_naming_it(

@@ -243,6 +243,14 @@ class TestRunBatch:
         assert "MalformedJson" in result.error and "surrogate" in result.error
         assert gateway.call_count == 3
 
+    def test_a_reply_nested_past_the_recursion_limit_is_resent(self):
+        nested = "[" * 100_000 + "]" * 100_000
+        good = json.dumps([{"index": 0, "is_ai": True, "rationale": "r"}])
+        gateway = make_gateway(ScriptedBackend([nested, good]))
+        [result] = gateway.run_items(TaskId.DETECT, ["solo.item"], batch_size=1)
+        assert result.payload["is_ai"] is True
+        assert gateway.call_count == 2
+
     def test_a_blank_analysis_is_resent_then_falls_back_to_singletons(self):
         blank = json.dumps([{"index": 0, "analysis": "ok"}, {"index": 1, "analysis": " "}])
         singles = [json.dumps([{"index": 0, "analysis": text}]) for text in ("first", "second")]

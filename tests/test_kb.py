@@ -53,6 +53,12 @@ def test_normalize_text_equals_the_regex_rule_on_every_code_point():
     assert [t for t, g, w in zip(texts, got, want) if g != w] == []
 
 
+@given(st.sampled_from(["Package", "Api"]), st.text())
+@example("Api", " \u212a\x1c\xa0\u2028İ\t")  # whitespace str.split() knows, and case maps that grow
+def test_kb_key_normalizes_as_normalize_text(kind, text):
+    assert KbKey.make(kind, text) == (kind, normalize_text(text))
+
+
 def test_insert_then_lookup(tmp_path):
     kb = kb_sync(tmp_path / "kb.jsonl")
     stored = kb.insert(ai_record())
@@ -116,6 +122,16 @@ def test_sync_skips_corrupt_lines(tmp_path):
     kb = kb_sync(path)
     assert len(kb.records) == 3
     assert kb.corrupt_lines == 2
+
+
+def test_sync_skips_a_line_nested_past_the_recursion_limit(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    nested = "[" * 100_000 + "]" * 100_000
+    lines = [ai_record(text="a.one").to_line(), nested, ai_record(text="a.two").to_line()]
+    path.write_text("\n".join(lines) + "\n")
+    kb = kb_sync(path)
+    assert list(kb.records) == [KbKey.make("Package", "a.one"), KbKey.make("Package", "a.two")]
+    assert kb.corrupt_lines == 1
 
 
 @pytest.mark.parametrize("tail", [" x", "{}", ' {"kind": "Package"}', ",", "]"])

@@ -371,7 +371,35 @@ class TestWriteBack:
         report = analyze_app(apks[0], PipelineConfig(order=DTA), kb, gateway, load_whitelist())
         assert report["degraded"] is True
         assert ai_labels(report)  # detection found AI components before the outage
-        assert kb.records == {}
+        # Only the NonAI verdicts Detect returned before the outage are written.
+        non_ai = {KbKey.make(row["kind"], row["text"]) for row in report["verdicts"] if not row["is_ai"]}
+        assert all(row["rationale"] != FAILURE_RATIONALE for row in report["verdicts"])
+        assert non_ai and set(kb.records) == non_ai
+        assert {record.verdict for record in kb.records.values()} == {VERDICT_NON_AI}
+
+    def test_a_rerun_after_a_mid_run_failure_pays_only_for_the_unfinished_items(self):
+        class Recording(MockBackend):
+            def __init__(self):
+                self.sent = []
+
+            def complete(self, request):
+                self.sent += [(request.task_id, item) for item in request.items]
+                return super().complete(request)
+
+        positives = ["com.acme.speech", "com.google.mlkit.vision"]
+        texts = [f"com.plain.util{i}" for i in range(12)] + positives
+        kb, cfg = KnowledgeBase(), PipelineConfig(order=DTA)
+        # Detect takes calls 1 to 5, in batches of three; the positives' Analyze call fails.
+        failing = FailingCall(fail_at=6, hold_first=False)
+        first = run_pipeline(cand_set(texts), cfg, kb, make_gateway(failing))
+        assert first.degraded is True and failing.calls == 6
+        write_back(first, kb, failing.model_id)
+
+        recording = Recording()
+        second = run_pipeline(cand_set(texts), cfg, kb, make_gateway(recording))
+        assert not second.degraded
+        assert sorted(recording.sent) == [(task, text) for task in (TaskId.ANALYZE, TaskId.DETECT) for text in positives]
+        assert [v.is_ai for v in second.verdicts] == [False] * 12 + [True, True]
 
 
 class TestIsAiApp:

@@ -48,6 +48,12 @@ def test_loads_refuses_a_value_holding_a_lone_surrogate_raw_or_escaped(value, en
     assert not isinstance(refused.value, json.JSONDecodeError)
 
 
+@pytest.mark.parametrize("opener, closer", [("[", "]"), ('{"k\\n": ', "}")])
+def test_loads_refuses_json_nested_past_the_recursion_limit(opener, closer):
+    with pytest.raises(ValueError, match="recursion"):
+        loads(opener * 100_000 + "1" + closer * 100_000)
+
+
 _LINE = st.binary(max_size=12) | st.sampled_from(
     [b"", b" ", b"\t \r", b' {"a": 1}\t', b"caf\xe9", b"\xe2\x82", b"\xe2\x80\x83x"]
 )
