@@ -224,7 +224,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 turn=turn,
             )
             path = write_report(report, out_dir)
-            fresh = sum(row["provenance"] == PROVENANCE_FRESH for row in report["verdicts"])
+            fresh = report["verdicts"].provenance.count(PROVENANCE_FRESH)
             entry.update(
                 status="ok",
                 report=str(path),
@@ -268,12 +268,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK if ok > 0 else EXIT_FAILURE
 
 
-def _label_key(row: dict) -> str:
-    """Evaluate's join key for an app (a row with ``app_id``, or a report) or
-    for a component (a row or verdict with ``kind`` and ``text``)."""
-    if "app_id" in row:
-        return f"app::{row['app_id']}"
+def _component_key(row: dict) -> str:
     return f"{row['kind']}::{normalize_text(row['text'])}"
+
+
+def _label_key(row: dict) -> str:
+    """Evaluate's join key for a label row: its app if it has ``app_id``, else its component."""
+    return f"app::{row['app_id']}" if "app_id" in row else _component_key(row)
 
 
 def load_label_file(path: Path) -> dict[str, str]:
@@ -309,8 +310,8 @@ def load_predictions(path: Path) -> dict[str, str]:
     labels: dict[str, str] = {}
     for report_path in iter_report_paths(path):
         report = read_report(report_path)
-        for row in report["verdicts"]:
-            labels[_label_key(row)] = "AI" if row["is_ai"] else "NonAI"
+        for row in report["verdicts"]:  # a component, whatever else the row holds
+            labels[_component_key(row)] = "AI" if row["is_ai"] else "NonAI"
         labels[_label_key(report)] = "AI" if report["is_ai_app"] else "NonAI"
     return labels
 
@@ -393,16 +394,12 @@ def stats_document(stats: CorpusStats) -> dict:
 
 
 def render_stats_text(stats: CorpusStats) -> str:
-    lines = ["AI component totals by kind"]
-    header = f"  {'kind':<14} {'count':>8}"
-    lines.append(header)
+    lines = ["AI component totals by kind", f"  {'kind':<14} {'count':>8}"]
     for group in ("package_api", "model", "http_request", "others", "total"):
         lines.append(f"  {group:<14} {stats.kind_totals.get(group, 0):>8}")
     if stats.component_domain_dist:
         lines.append("Component domain distribution")
-        for domain, fraction in sorted(
-            stats.component_domain_dist.items(), key=lambda kv: -kv[1]
-        ):
+        for domain, fraction in sorted(stats.component_domain_dist.items(), key=lambda kv: -kv[1]):
             lines.append(f"  {domain.display:<30} {fraction * 100:6.2f}%")
     if stats.app_domain_counts:
         lines.append("Apps per primary domain")
@@ -440,19 +437,9 @@ def cmd_curate(args: argparse.Namespace) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             for desc in result.selected:
-                fh.write(
-                    json.dumps(
-                        {
-                            "package_name": desc.package_name,
-                            "text": desc.text,
-                            "release_date": desc.release_date.isoformat()
-                            if desc.release_date
-                            else None,
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                release_date = desc.release_date.isoformat() if desc.release_date else None
+                row = {"package_name": desc.package_name, "text": desc.text, "release_date": release_date}
+                fh.write(json.dumps(row, ensure_ascii=False) + "\n")
     else:
         for desc in result.selected:
             print(desc.package_name)

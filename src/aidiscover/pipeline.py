@@ -13,7 +13,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from .candidates import Candidate, CandidateSet
 from .gateway import BackendUnavailable, ItemResult, LlmGateway, SamplingConfig, TaskId
@@ -74,13 +74,37 @@ class ComponentVerdict:
         return self.key
 
 
+# The record of a row that is not a NonAI KB hit.
+_NO_RECORD = KbRecord(KbKey("", ""), VERDICT_NON_AI)
+
+
 @dataclass
 class PipelineResult:
-    """All verdicts of one run plus degradation flags."""
+    """One verdict per candidate, in candidate order, plus degradation flags.
 
-    verdicts: list[ComponentVerdict]
+    A NonAI KB hit stays the record that answered it, ``records[i]``, with no
+    object: it is never fresh, labeled or written. Every other row is a
+    ComponentVerdict, ``objects[i]``; given verdicts alone, every row is one.
+    """
+
+    objects: list[Optional[ComponentVerdict]]
     degraded: bool = False
     warnings: list[str] = field(default_factory=list)
+    candidates: Optional[Sequence[Candidate]] = None
+    records: Optional[Sequence[KbRecord]] = None
+
+    def __post_init__(self):
+        if self.records is None:
+            self.candidates = [v.candidate for v in self.objects]
+            self.records = [_NO_RECORD] * len(self.objects)
+
+    @functools.cached_property
+    def verdicts(self) -> tuple[ComponentVerdict, ...]:
+        """Every row as a verdict, read-only; the objects themselves where there are some."""
+        return tuple(
+            verdict or _reused(candidate, record, None)
+            for verdict, candidate, record in zip(self.objects, self.candidates, self.records)
+        )
 
 
 def component_line(text: str, analysis: Optional[str]) -> str:
@@ -123,24 +147,25 @@ def run_pipeline(
     run of the apps one at a time gives.
     """
     turn = turn or AppTurn.alone()
-    verdicts: list[ComponentVerdict] = []
+    candidates = cand_set.candidates
+    records: list[KbRecord] = [_NO_RECORD] * len(candidates)
+    objects: list[Optional[ComponentVerdict]] = [None] * len(candidates)
     # key -> (record seen by the lookup, indexes of its verdicts)
     pending: dict[KbKey, tuple[Optional[KbRecord], list[int]]] = {}
-    for candidate in cand_set.candidates:
+    for i, candidate in enumerate(candidates):
         key = KbKey.make(candidate.kind, candidate.text)
         record = kb.lookup(key)
+        if record is not None and record.verdict != VERDICT_AI:
+            records[i] = record
+            continue
         if record is None:
             # The conservative verdict stands until this run's Detect call returns.
-            verdict = ComponentVerdict(candidate, is_ai=False, rationale=FAILURE_RATIONALE, key=key)
+            objects[i] = ComponentVerdict(candidate, is_ai=False, rationale=FAILURE_RATIONALE, key=key)
         else:
-            # A kept key costs collector time; write_back reads a hit's key only if it is
-            # labeled, and a NonAI record carries no labels.
-            verdict = _reused(candidate, record, key if record.verdict == VERDICT_AI else None)
-            if record.verdict != VERDICT_AI or (record.domain and record.task):
-                verdicts.append(verdict)
+            objects[i] = _reused(candidate, record, key)
+            if record.domain and record.task:
                 continue
-        pending.setdefault(key, (record, []))[1].append(len(verdicts))
-        verdicts.append(verdict)
+        pending.setdefault(key, (record, []))[1].append(i)
 
     warnings: list[str] = []
 
@@ -155,11 +180,11 @@ def run_pipeline(
                 fresh += indexes
             elif record is not seen:
                 for i in indexes:
-                    verdicts[i] = _reused(verdicts[i].candidate, record, key)
+                    objects[i] = _reused(candidates[i], record, key)
                 turn.from_earlier_app += len(indexes)
         if fresh and not warnings:
             try:
-                _run_fresh([verdicts[i] for i in sorted(fresh)], cfg, gateway)
+                _run_fresh([objects[i] for i in sorted(fresh)], cfg, gateway)
             except BackendUnavailable as exc:
                 warnings.append(f"backend unavailable mid-run: {exc}")
 
@@ -169,19 +194,17 @@ def run_pipeline(
         for holder in set(earlier.values()):
             holder.wait_committed()
         settle(list(earlier))
-    return PipelineResult(verdicts=verdicts, degraded=bool(warnings), warnings=warnings)
+    return PipelineResult(objects, bool(warnings), warnings, candidates, records)
 
 
 # One string per model, not one per KB hit.
-_reused_rationale = functools.lru_cache(maxsize=64)(
-    "Reused prior verdict from knowledge base (model {})".format
-)
+reused_rationale = functools.lru_cache(maxsize=64)("Reused prior verdict from knowledge base (model {})".format)
 
 
 def _reused(candidate: Candidate, record: KbRecord, key: Optional[KbKey]) -> ComponentVerdict:
     # Positional, since this runs once per KB hit: eight keywords take about three times as long.
     return ComponentVerdict(
-        candidate, record.verdict == VERDICT_AI, record.analysis, _reused_rationale(record.model_id),
+        candidate, record.verdict == VERDICT_AI, record.analysis, reused_rationale(record.model_id),
         PROVENANCE_KB, record.domain, record.task, key,
     )
 
@@ -210,11 +233,8 @@ def _analyses(verdicts: list[ComponentVerdict], cfg: PipelineConfig, gateway: Ll
 def _reliable(verdict: ComponentVerdict) -> bool:
     # Verdicts that only exist because an item failed are transient; caching
     # them would make the failure permanent across runs.
-    if verdict.rationale == FAILURE_RATIONALE:
-        return False
-    if verdict.is_ai and verdict.analysis in (None, FAILURE_ANALYSIS):
-        return False
-    return True
+    failed_analysis = verdict.is_ai and verdict.analysis in (None, FAILURE_ANALYSIS)
+    return verdict.rationale != FAILURE_RATIONALE and not failed_analysis
 
 
 def write_back(run: PipelineResult, kb: KnowledgeBase, model_id: str) -> None:
@@ -227,7 +247,7 @@ def write_back(run: PipelineResult, kb: KnowledgeBase, model_id: str) -> None:
     whose labeling failed has no labels, so its record carries none and the
     next run asks again.
     """
-    for verdict in run.verdicts:
+    for verdict in filter(None, run.objects):
         if verdict.provenance != PROVENANCE_FRESH and (
             not (verdict.domain and verdict.task) or _labeled_in_kb(verdict, kb)
         ):
@@ -250,6 +270,6 @@ def _labeled_in_kb(verdict: ComponentVerdict, kb: KnowledgeBase) -> bool:
     return stored is not None and bool(stored.domain and stored.task)
 
 
-def is_ai_app(verdicts: list[ComponentVerdict]) -> bool:
+def is_ai_app(verdicts: Iterable[ComponentVerdict]) -> bool:
     """An app counts as an AI app when at least one component verdict is AI."""
     return any(v.is_ai for v in verdicts)

@@ -8,19 +8,23 @@ import logging
 from collections import Counter
 from datetime import datetime
 from json.encoder import encode_basestring
-from operator import itemgetter
+from dataclasses import dataclass, fields
+from itertools import compress, repeat
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .apk import open_apk
 from .candidates import CandidateSet, extract_candidates
 from .gateway import LlmGateway
-from .kb import AppTurn, KnowledgeBase, SummaryCache, utc_now
+from .kb import VERDICT_AI, AppTurn, KnowledgeBase, SummaryCache, utc_now
 from .pipeline import (
+    PROVENANCE_KB,
     ComponentVerdict,
     PipelineConfig,
     PipelineResult,
     is_ai_app,
+    reused_rationale,
     run_pipeline,
     write_back,
 )
@@ -70,12 +74,8 @@ def summarize_with_cache(
     if cache is not None and ai_verdicts:
         hit = cache.get(digest)
         if hit is not None:
-            return AiServiceReport(
-                app_id=app_id,
-                summary=hit["summary"],
-                capabilities=list(hit["capabilities"]),
-                kind_counts=dict(Counter(v.candidate.kind for v in ai_verdicts)),
-            ), None
+            kind_counts = dict(Counter(v.candidate.kind for v in ai_verdicts))
+            return AiServiceReport(app_id, hit["summary"], list(hit["capabilities"]), kind_counts), None
     report = summarize_app(app_id, ai_verdicts, gateway)
     if cache is None or not ai_verdicts or report.degraded:
         return report, None
@@ -95,7 +95,8 @@ def analyze_app(
 ) -> dict:
     """Full single-app run: extract, prefilter, verdicts, labels, summary.
 
-    Returns the report document (JSON-serializable dict). The app claims
+    Returns the report document for ``write_report`` or ``render_json``; its
+    ``"verdicts"`` is a ``VerdictTable``, which ``json.dumps`` cannot take. The app claims
     its keys through its ``turn`` in input order (see ``run_pipeline``; none
     means the app runs alone), its backend requests are queued at the turn's
     rank, and its KB lines and summary-cache line are written in input order
@@ -114,7 +115,7 @@ def analyze_app(
         filtered = apply_whitelist(cand_set, whitelist)
 
         run = run_pipeline(filtered, cfg, kb, gateway, turn)
-        ai_verdicts = [v for v in run.verdicts if v.is_ai]
+        ai_verdicts = [v for v in filter(None, run.objects) if v.is_ai]
 
         labels = classify_components(ai_verdicts, gateway, cfg.batch_size)
         service, digest = summarize_with_cache(app_id, ai_verdicts, gateway, summary_cache, cfg.audience)
@@ -145,8 +146,8 @@ def build_report(
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "app_id": service.app_id,
-        "is_ai_app": is_ai_app(run.verdicts),
-        "verdicts": [_verdict_row(v) for v in run.verdicts],
+        "is_ai_app": is_ai_app(filter(None, run.objects)),
+        "verdicts": _verdict_table(run),
         "summary": service.summary,
         "capabilities": service.capabilities,
         "kind_counts": service.kind_counts,
@@ -162,22 +163,48 @@ def build_report(
     }
 
 
-def _verdict_row(v: ComponentVerdict) -> dict:
-    # An AI component whose labeling failed is reported under the fallback
-    # label, which the verdict itself does not carry (see classify_components).
-    unlabeled = v.is_ai and not (v.domain and v.task)
-    return {
-        "kind": v.candidate.kind,
-        "text": v.candidate.text,
-        "occurrences": v.candidate.occurrences,
-        "source": v.candidate.source,
-        "is_ai": v.is_ai,
-        "analysis": v.analysis,
-        "rationale": v.rationale,
-        "provenance": v.provenance,
-        "domain": UNCLASSIFIED.domain.value if unlabeled else v.domain,
-        "task": UNCLASSIFIED.task if unlabeled else v.task,
-    }
+@dataclass(frozen=True)
+class VerdictTable:
+    """A report's verdict rows as columns, in sorted key order; iterates as row dicts."""
+
+    analysis: Sequence[Optional[str]]
+    domain: Sequence[Optional[str]]
+    is_ai: Sequence[bool]
+    kind: Sequence[str]
+    occurrences: Sequence[int]
+    provenance: Sequence[str]
+    rationale: Sequence[Optional[str]]
+    source: Sequence[str]
+    task: Sequence[Optional[str]]
+    text: Sequence[str]
+
+    def __len__(self) -> int:
+        return len(self.text)
+
+    def __iter__(self) -> Iterator[dict]:
+        return map(dict, map(zip, repeat(_VERDICT_KEYS), zip(*_columns(self))))
+
+
+_VERDICT_KEYS = tuple(f.name for f in fields(VerdictTable))
+_columns = attrgetter(*_VERDICT_KEYS)
+
+
+def _verdict_table(run: PipelineResult) -> VerdictTable:
+    # NonAI KB hits as columns straight from their candidates and records; the rows
+    # that are objects overwrite their placeholders.
+    n = len(run.candidates)
+    kind, text, source, occurrences = zip(*run.candidates) if n else ((),) * 4
+    _, verdict, analysis, domain, task, model_id, _ = map(list, zip(*run.records)) if n else ([],) * 7
+    is_ai = [v == VERDICT_AI for v in verdict]
+    rationale = list(map(reused_rationale, model_id))
+    provenance = [PROVENANCE_KB] * n
+    for i, v in compress(enumerate(run.objects), run.objects):
+        is_ai[i], analysis[i], rationale[i], provenance[i] = v.is_ai, v.analysis, v.rationale, v.provenance
+        # An AI component whose labeling failed is reported under the fallback
+        # label, which the verdict itself does not carry (see classify_components).
+        unlabeled = v.is_ai and not (v.domain and v.task)
+        domain[i], task[i] = (UNCLASSIFIED.domain.value, UNCLASSIFIED.task) if unlabeled else (v.domain, v.task)
+    return VerdictTable(analysis, domain, is_ai, kind, occurrences, provenance, rationale, source, task, text)
 
 
 def render_report_text(report: dict) -> str:
@@ -193,10 +220,13 @@ def render_report_text(report: dict) -> str:
         lines.append(
             f"Primary domain/task: {report['app_label']['domain']} / {report['app_label']['task']}"
         )
-    ai_rows = [v for v in report["verdicts"] if v["is_ai"]]
-    lines.append(f"AI components ({len(ai_rows)} of {len(report['verdicts'])} candidates):")
-    for row in ai_rows:
-        lines.append(f"  [{row['kind']}] {row['text']}")
+    verdicts = report["verdicts"]
+    if isinstance(verdicts, VerdictTable):
+        ai_rows = list(compress(zip(verdicts.kind, verdicts.text), verdicts.is_ai))
+    else:  # rows as dicts, as read_report gives them
+        ai_rows = [(row["kind"], row["text"]) for row in verdicts if row["is_ai"]]
+    lines.append(f"AI components ({len(ai_rows)} of {len(verdicts)} candidates):")
+    lines.extend(f"  [{kind}] {text}" for kind, text in ai_rows)
     if report["warnings"]:
         lines.append("Warnings:")
         lines.extend(f"  ! {w}" for w in report["warnings"])
@@ -204,8 +234,6 @@ def render_report_text(report: dict) -> str:
 
 
 _INDENT = "  "
-_STR_BOOL_OR_NONE = frozenset({str, bool, type(None)})
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
 _ITEMS_PER_PIECE = 256
 # A scalar or an empty container as JSON; one encoder serves every call.
 _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
@@ -213,20 +241,19 @@ _encode_scalar = json.JSONEncoder(ensure_ascii=False).encode
 
 def render_json(obj, depth: int = 0) -> str:
     r"""``json.dumps(obj, indent=2, sort_keys=True, ensure_ascii=False)``, byte for
-    byte, for a JSON value whose object keys are strings.
+    byte, for a JSON value whose object keys are strings; a ``VerdictTable``
+    renders as the list of its rows.
 
-    Each scalar and each key is encoded once. Lists go 256 items a piece:
-    scalar-only dicts with one key set (the verdict rows) fill one ``%``
-    template, encoded column by column; other items recurse one by one, as
-    the values of dicts do.
+    Each scalar and each key is encoded once. Lists and tables go 256 items
+    a piece; list items recurse one by one, as the values of dicts do.
     """
     return "".join(_pieces(obj, depth))
 
 
 def _pieces(obj, depth: int) -> Iterator[str]:
     # render_json's text in pieces, so write_report copies none of it into a whole.
-    if not obj or not isinstance(obj, (dict, list, tuple)):  # a scalar or an empty container
-        yield _encode_scalar(obj)
+    if not obj or not isinstance(obj, (dict, list, tuple, VerdictTable)):  # a scalar or an empty container
+        yield "[]" if isinstance(obj, VerdictTable) else _encode_scalar(obj)
         return
     brackets = "{}" if isinstance(obj, dict) else "[]"
     inner = "\n" + _INDENT * (depth + 1)
@@ -238,44 +265,50 @@ def _pieces(obj, depth: int) -> Iterator[str]:
             yield encode_basestring(key) + ": "
             yield from _pieces(value, depth + 1)
     else:
+        piece = _table_rows(obj, inner) if isinstance(obj, VerdictTable) else (
+            lambda start: ("," + inner).join(render_json(v, depth + 1) for v in obj[start : start + _ITEMS_PER_PIECE])
+        )
         for start in range(0, len(obj), _ITEMS_PER_PIECE):
             if start:
                 yield "," + inner
-            piece = obj[start : start + _ITEMS_PER_PIECE]
-            yield _table_rows(piece, inner) or ("," + inner).join(render_json(v, depth + 1) for v in piece)
+            yield piece(start)
     yield "\n" + _INDENT * depth + brackets[1]
 
 
-def _table_rows(items, inner: str) -> Optional[str]:
-    """The items as text if they are non-empty dicts of scalars with one set of str keys."""
-    if not {dict}.issuperset(map(type, items)) or not items[0]:
-        return None
-    keys = sorted(items[0])
-    if not {str}.issuperset(map(type, keys)) or not {len(keys)}.issuperset(map(len, items)):
-        return None
-    try:  # with one length, every row that has every key has no other
-        columns = [_encoded_column(list(map(itemgetter(key), items))) for key in keys]
-    except KeyError:
-        return None
-    if None in columns:
-        return None
+class _Rendered(dict):
+    """``render(key)`` of each key, rendered once while held; at most a piece's worth is held."""
+
+    def __init__(self, render: Callable):
+        self.render = render
+
+    def __missing__(self, key):
+        if len(self) >= _ITEMS_PER_PIECE:  # fresh rationales are all distinct
+            self.clear()
+        text = self[key] = self.render(key)
+        return text
+
+
+def _table_rows(table: VerdictTable, inner: str) -> Callable[[int], str]:
+    """A function from ``start`` to the text of the table's rows from there, a piece's worth.
+
+    A row is its analysis, the eight fields between, and its text. Each distinct analysis
+    and each distinct tuple of the fields between is rendered once. The tuples are keyed
+    by raw value, which is exact because ``is_ai`` is always a bool (the gateway checks
+    it) and ``occurrences`` always an int; otherwise True and 1 would share a key.
+    """
     row_inner = inner + _INDENT
-    template = "{" + row_inner + ("," + row_inner).join(
-        encode_basestring(key).replace("%", "%%") + ": %s" for key in keys
-    ) + inner + "}"
-    return ("," + inner).join(map(template.__mod__, zip(*columns)))
+    template = "".join(f',{row_inner}"{key}": %s' for key in _VERDICT_KEYS[1:-1]) + f',{row_inner}"text": '
+    analyses = _Rendered(_encode_scalar)
+    middles = _Rendered(lambda values: template % tuple(map(_encode_scalar, values)))
+    head, tail = "{" + row_inner + '"analysis": ', inner + "}"
+    columns = _columns(table)
 
+    def piece(start: int) -> str:
+        analysis, *middle, text = (column[start : start + _ITEMS_PER_PIECE] for column in columns)
+        rows = zip(map(analyses.__getitem__, analysis), map(middles.__getitem__, zip(*middle)), map(encode_basestring, text))
+        return head + (tail + "," + inner + head).join(map("".join, rows)) + tail
 
-def _encoded_column(values: list) -> Optional[Iterator[str]]:
-    # Each value as JSON, or None when one is not a str, bool, None or plain int.
-    types = set(map(type, values))
-    if _STR_BOOL_OR_NONE.issuperset(types):  # each distinct value once
-        strings = set(values).difference(_JSON_CONSTANTS)
-        encoded = _JSON_CONSTANTS | dict(zip(strings, map(encode_basestring, strings)))
-        return map(encoded.__getitem__, values)
-    if types == {int}:
-        return map(int.__repr__, values)
-    return None
+    return piece
 
 
 def write_report(report: dict, out_dir: Union[str, Path]) -> Path:

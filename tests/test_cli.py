@@ -295,6 +295,15 @@ class TestEvaluate:
         assert code == cli.EXIT_OK
         assert "precision: undefined" in capsys.readouterr().out
 
+    def test_a_report_row_holding_an_app_id_is_read_as_its_component(self, tmp_path):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        row = {"app_id": "a", "kind": "Api", "text": "x", "is_ai": True, "domain": None, "task": None}
+        for app_id, is_ai_app, rows in [("a", False, []), ("b", True, [row])]:
+            report = {"app_id": app_id, "is_ai_app": is_ai_app, "verdicts": rows}
+            (reports / f"{app_id}.json").write_text(json.dumps(report), encoding="utf-8")
+        assert cli.load_predictions(reports) == {"app::a": "NonAI", "app::b": "AI", "Api::x": "AI"}
+
     def test_disjoint_keys_fail(self, tmp_path):
         predictions = write_jsonl(
             tmp_path / "p.jsonl", [{"kind": "Package", "text": "com.a", "label": "AI"}]

@@ -5,6 +5,7 @@ up; renaming one of them breaks the benchmark, and this test catches it.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 from aidiscover import cli, kb, report
@@ -46,3 +47,24 @@ def test_full_tracer_installs_traces_a_run_and_uninstalls(tmp_path, fixture_corp
         "whitelist.apply", "pipeline.run", "kb.insert", "gateway.run_items",
         "backend.complete", "taxonomy.classify", "taxonomy.summarize", "report.build",
     } <= names
+
+
+def test_full_tracer_counts_the_fresh_verdicts_the_manifest_counts(tmp_path, fixture_corpus):
+    apks, _, _ = fixture_corpus
+    probes = load_probes()
+    fresh = {}
+    for name in ("cold", "warm"):
+        tracer = probes.Tracer(full=True)
+        tracer.install(MockBackend)
+        try:
+            code = cli.main([
+                "analyze", "--backend", "mock", "--kb", str(tmp_path / "kb.jsonl"),
+                "--out", str(tmp_path / name), "--deterministic", *map(str, apks),
+            ])
+        finally:
+            tracer.uninstall()
+        assert code == cli.EXIT_OK
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+        fresh[name] = sum(app["fresh"] for app in manifest["apps"])
+        assert tracer.counts["pipeline.fresh"] == fresh[name]
+    assert fresh["cold"] > 0 and fresh["warm"] == 0

@@ -7,7 +7,13 @@ from enum import Enum, IntEnum
 
 from hypothesis import given, strategies as st
 
-from aidiscover.report import read_report, render_json, write_report
+from aidiscover import report as report_module
+from aidiscover.kb import KnowledgeBase, SummaryCache
+from aidiscover.pipeline import PROVENANCE_FRESH, PROVENANCE_KB, PipelineConfig
+from aidiscover.report import VerdictTable, analyze_app, read_report, render_json, write_report
+from aidiscover.whitelist import load_whitelist
+
+from conftest import make_gateway
 
 
 def reference_render(obj) -> str:
@@ -206,3 +212,59 @@ def test_write_report_memory_is_bounded_by_the_piece_not_the_document(tmp_path):
         tracemalloc.stop()
     assert path.read_bytes() == (reference_render(report) + "\n").encode("utf-8")
     assert peak < path.stat().st_size / 4
+
+
+@st.composite
+def _verdict_tables(draw):
+    """Up to 700 rows, more than one 256-row piece, each value drawn from its column's
+    small pool, so rows share analyses and the fields between analysis and text."""
+    pools = {key: draw(st.lists(_optional_text, min_size=1, max_size=3)) for key in ("analysis", "domain", "rationale", "task")}
+    pools |= {key: draw(st.lists(_text, min_size=1, max_size=3)) for key in ("kind", "provenance", "source", "text")}
+    pools["is_ai"] = [True, False]
+    pools["occurrences"] = draw(st.lists(st.sampled_from([0, 1]) | st.integers(min_value=0), min_size=1, max_size=3))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # a seed shrinks faster than every choice
+    count = draw(st.integers(0, 700))
+    return VerdictTable(**{key: [rng.choice(pool) for _ in range(count)] for key, pool in pools.items()})
+
+
+@given(_verdict_tables())
+def test_a_verdict_table_renders_as_json_dumps_of_its_rows(table):
+    rows = list(table)
+    assert len(rows) == len(table) and all(sorted(row) == list(row) for row in rows)
+    assert lines_of(render_json(table)) == lines_of(reference_render(rows))
+    assert lines_of(render_json({"verdicts": table})) == lines_of(reference_render({"verdicts": rows}))
+
+
+def test_write_report_memory_of_a_verdict_table_is_bounded_by_the_piece(tmp_path):
+    report = _large_report(9000)
+    rows = report["verdicts"]
+    for i, row in enumerate(rows):  # every row a distinct tuple of the fields between analysis and text
+        row["rationale"] += f" {i}"
+    expected = (reference_render(report) + "\n").encode("utf-8")
+    report["verdicts"] = VerdictTable(**{key: [row[key] for row in rows] for key in rows[0]})
+    tracemalloc.start()
+    try:
+        path = write_report(report, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.read_bytes() == expected
+    assert peak < path.stat().st_size / 4
+
+
+def test_in_memory_rows_and_the_verdicts_view_agree_with_the_written_report(tmp_path, fixture_corpus, monkeypatch):
+    apks, _, _ = fixture_corpus
+    runs = []
+    run_pipeline = report_module.run_pipeline
+    monkeypatch.setattr(report_module, "run_pipeline", lambda *args: runs.append(run_pipeline(*args)) or runs[-1])
+    kb, whitelist, cache = KnowledgeBase(), load_whitelist(), SummaryCache(None)
+    provenances = {}
+    for name in ("cold", "warm"):
+        for apk in apks:
+            report = analyze_app(apk, PipelineConfig(), kb, make_gateway(), whitelist, cache)
+            path = write_report(report, tmp_path / name)
+            assert list(report["verdicts"]) == read_report(path)["verdicts"]
+            column = list(report["verdicts"].provenance)
+            assert [v.provenance for v in runs[-1].verdicts] == column
+            provenances.setdefault(name, set()).update(column)
+    assert PROVENANCE_FRESH in provenances["cold"] and provenances["warm"] == {PROVENANCE_KB}
