@@ -258,6 +258,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "backend_calls_by_task": dict(gateway.call_counts),
         "failed": sum(1 for e in entries if e["status"] == "error"),
         "kb": kb.health(),
+        "kb_load": kb.load_counts,
         "summary_cache": cache.health(),
     }
     (out_dir / "manifest.json").write_text(

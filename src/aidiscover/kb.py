@@ -9,17 +9,22 @@ writes in input order.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import hashlib
+import io
 import json
 import logging
 import os
 import threading
 from datetime import datetime, timezone
+from itertools import chain, islice, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, NamedTuple, Optional, Union
 
 from .gateway import MalformedJson, summary_payload
-from .utf8 import NOT_UTF8, decodes_to_surrogate, jsonl_lines, loads
+from .utf8 import NOT_UTF8, decodes_to_surrogate, loads, numbered_lines
 
 log = logging.getLogger(__name__)
 
@@ -168,30 +173,45 @@ class JsonlLog:
     def __init__(self, path: Union[str, Path, None]):
         self.path = Path(path) if path is not None else None
         self.records: dict = {}
-        self.corrupt_lines = 0
+        self.skipped: list[tuple[int, str]] = []  # (line number, reason) of each corrupt line
         self.degraded = False
         self._lock = threading.Lock()
         self._fh: Optional[BinaryIO] = None
 
-    def replay(self, decode: Callable[[str], tuple]) -> None:
+    @property
+    def corrupt_lines(self) -> int:
+        return len(self.skipped)
+
+    def _skip(self, lineno: int, reason: str) -> None:
+        self.skipped.append((lineno, reason))
+        log.warning("%s:%d: skipping corrupt line (%s)", self.path, lineno, reason)
+
+    def replay(self, decode: Callable[[str], tuple], fh: Optional[BinaryIO] = None, lineno: int = 0) -> int:
         """Store ``entry = decode(line)`` under its key ``entry[0]``, for every
-        line; a missing file is empty.
+        line of the log, or of the binary ``fh`` from its position with lines
+        numbered after ``lineno``; returns the last line's number. A missing
+        file is empty.
 
         A byte that is not UTF-8 reaches ``decode`` as a lone surrogate, which
         it must refuse, so such a byte, a torn multi-byte tail included, costs
         only its own line, as does JSON nested past the recursion limit.
         """
-        if self.path is None or not self.path.exists():
-            return
-        with jsonl_lines(self.path) as lines:
+        if fh is None:
+            if self.path is None or not self.path.exists():
+                return 0
+            with open(self.path, "rb") as fh:
+                return self.replay(decode, fh)
+        with numbered_lines(fh, lineno + 1) as lines:
             for lineno, line in lines:
+                if not line:
+                    continue
                 try:
                     entry = decode(line)
                 except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                    self.corrupt_lines += 1
-                    log.warning("%s:%d: skipping corrupt line (%s)", self.path, lineno, exc)
+                    self._skip(lineno, str(exc))
                     continue
                 self.records[entry[0]] = entry
+        return lineno
 
     def health(self) -> dict:
         """Lines replay skipped, and whether an append has failed since."""
@@ -203,7 +223,11 @@ class JsonlLog:
             fh.seek(-1, os.SEEK_END)
             if fh.read(1) != b"\n":
                 fh.write(b"\n")  # goes out with the first line
+                self._wrote(b"\n")
         return fh
+
+    def _wrote(self, data: bytes) -> None:
+        """Called under the lock with each piece appended, which ends one line."""
 
     def _put(self, key, value, line: str) -> None:
         with self._lock:
@@ -213,8 +237,10 @@ class JsonlLog:
             try:
                 if self._fh is None:
                     self._fh = self._open()
-                self._fh.write((line + "\n").encode("utf-8"))
+                data = (line + "\n").encode("utf-8")
+                self._fh.write(data)
                 self._fh.flush()
+                self._wrote(data)
             except OSError as exc:
                 self.degraded = True
                 log.warning("%s: append failed, continuing in memory: %s", self.path, exc)
@@ -234,12 +260,179 @@ class JsonlLog:
             self._close()
 
 
+SNAPSHOT_FORMAT = 1
+_SNAPSHOT_ROWS = 256  # rows per line of snapshot columns
+_HASH_BLOCK = io.DEFAULT_BUFFER_SIZE
+# Any of these from reading a snapshot means it is not used.
+_SNAPSHOT_FAULTS = (OSError, ValueError, TypeError, KeyError, IndexError)
+# The closed-set fields of a record, stored as indices into the snapshot's value table.
+_CLOSED = itemgetter(1, 3, 4, 5)  # verdict, domain, task, model_id
+
+
+class _Hashing(io.RawIOBase):
+    """A binary file from its position, each byte read fed to ``sha``."""
+
+    def __init__(self, fh: BinaryIO, sha):
+        self._fh, self._sha = fh, sha
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._fh.readinto(buffer)
+        self._sha.update(buffer[:n])
+        return n
+
+
 class KnowledgeBase(JsonlLog):
-    """Replayed view of the record log plus a serialized append channel."""
+    """Replayed view of the record log plus a serialized append channel.
+
+    :meth:`load` takes the records of the log's head from the
+    ``<kb>.snapshot`` sidecar when its header's sha256 matches that head, and
+    replays only the lines after it. :meth:`close` writes the snapshot again
+    when it is stale and the log holds just what this handle replayed and
+    appended. ``load_counts`` says which path the load took.
+    """
 
     def __init__(self, path: Union[str, Path, None] = None, clock: Callable[[], datetime] = utc_now):
         super().__init__(path)
         self.clock = clock
+        self.snapshot = Path(f"{self.path}.snapshot") if self.path is not None else None
+        self.load_counts = {"snapshot_rows": 0, "tail_lines": 0, "snapshot_written": False}
+        self._sha = hashlib.sha256()  # of the log bytes replayed and appended
+        self._covered = 0  # their length
+        self._lines = 0  # the lines they end
+        self._stale = False  # close() should write the snapshot
+
+    def load(self) -> None:
+        """Replay the log, from where the snapshot ends if it matches; a missing log is empty."""
+        if self.path is None or not self.path.exists():
+            return
+        shared: dict = {}  # one replay shares its closed-set values; see KbRecord.from_line
+        with open(self.path, "rb") as fh:
+            skipped: list = []
+            try:
+                self.records, skipped, self._lines, self._sha = self._read_snapshot(fh, shared)
+            except _SNAPSHOT_FAULTS as exc:
+                log.info("%s: not used, replaying the whole log (%s)", self.snapshot, exc)
+                fh.seek(0)
+                self._stale = True
+            for lineno, reason in skipped:
+                self._skip(lineno, reason)
+            self.load_counts["snapshot_rows"] = len(self.records)
+            start = self._lines
+            with io.BufferedReader(_Hashing(fh, self._sha), _HASH_BLOCK) as tail:
+                self._lines = self.replay(functools.partial(KbRecord.from_line, shared=shared), tail, start)
+            self.load_counts["tail_lines"] = self._lines - start
+            self._covered = fh.tell()
+            if self._covered:
+                fh.seek(self._covered - 1)
+                if fh.read(1) != b"\n":  # a torn last line: no snapshot until an append ends it
+                    self._lines -= 1
+                    self._stale = False
+
+    def _read_snapshot(self, fh: BinaryIO, shared: dict) -> tuple:
+        """Records, skipped lines, line count and running sha256 of the log head
+        the snapshot covers, read up to its end from ``fh``; raises one of
+        ``_SNAPSHOT_FAULTS`` if the snapshot is missing, malformed or not of this log."""
+        with open(self.snapshot, encoding="utf-8") as snap:
+            header = loads(snap.readline())
+            if header["format"] != SNAPSHOT_FORMAT:
+                raise ValueError(f"unknown snapshot format {header['format']!r}")
+            covers, lines, rows, values = header["covers"], header["lines"], header["rows"], header["values"]
+            skipped = [tuple(entry) for entry in header["skipped"]]
+            if not (
+                type(covers) is type(lines) is type(rows) is int
+                and set(map(type, values)) <= _STR_OR_NONE
+                and all(len(e) == 2 and type(e[0]) is int and type(e[1]) is str for e in skipped)
+            ):
+                raise ValueError("malformed snapshot header")
+            sha, left = hashlib.sha256(), covers
+            while left > 0:
+                block = fh.read(min(left, _HASH_BLOCK))
+                if not block:
+                    raise ValueError("the log is shorter than the snapshot covers")
+                sha.update(block)
+                left -= len(block)
+            if sha.hexdigest() != header["sha256"]:
+                raise ValueError("the log's head is not the one the snapshot covers")
+            value = [shared.setdefault(v, v) for v in values].__getitem__
+            records: dict = {}
+            for line in snap:
+                kinds, texts, verdicts, analyses, domains, tasks, models, created = columns = loads(line)
+                if not (
+                    set(map(type, columns)) == {list}
+                    and len(set(map(len, columns))) == 1
+                    and set(map(type, texts)) <= {str}
+                    and set(map(type, analyses)) <= _STR_OR_NONE
+                    and min(chain(kinds, verdicts, domains, tasks, models), default=0) >= 0
+                ):
+                    raise ValueError("malformed snapshot columns")
+                keys = list(map(_tuple_new, repeat(KbKey), zip(map(value, kinds), texts)))
+                records.update(zip(keys, map(_tuple_new, repeat(KbRecord), zip(
+                    keys, map(value, verdicts), analyses, map(value, domains), map(value, tasks),
+                    map(value, models), map(datetime.fromisoformat, created),
+                ))))
+            if len(records) != rows:
+                raise ValueError("the snapshot's rows are not the count its header gives")
+        return records, skipped, lines, sha
+
+    def _wrote(self, data: bytes) -> None:
+        self._sha.update(data)
+        self._covered += len(data)
+        self._lines += 1
+        self._stale = True
+
+    def close(self) -> None:
+        """Close the append handle, and write the snapshot if it is stale and the
+        log holds only the bytes this handle replayed and appended; a failed
+        write costs a warning. A later append opens the handle again."""
+        with self._lock:
+            self._close()
+            if not (self._stale and self._covered) or self.degraded:
+                return
+            # The log holds every record; the snapshot only speeds up loading.
+            try:
+                if os.path.getsize(self.path) == self._covered:
+                    self._write_snapshot()
+                    self._stale = False
+                    self.load_counts["snapshot_written"] = True
+            except (OSError, ValueError, TypeError) as exc:
+                log.warning("%s: not written: %s", self.snapshot, exc)
+
+    def _write_snapshot(self) -> None:
+        """Write the snapshot of every record to a temporary file, then move it into place.
+
+        Rows go out a column piece at a time, with no list of every record:
+        a list that large would be a fresh mapping on top of the run's peak."""
+        records = self.records.values()
+        kinds = map(itemgetter(0), map(itemgetter(0), records))
+        index = {v: i for i, v in enumerate(dict.fromkeys(chain(kinds, chain.from_iterable(map(_CLOSED, records)))))}
+        at, rows = index.__getitem__, iter(records)
+        tmp = Path(f"{self.snapshot}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "x", encoding="utf-8") as out:
+                out.write(_encode({
+                    "format": SNAPSHOT_FORMAT,
+                    "covers": self._covered,
+                    "lines": self._lines,
+                    "sha256": self._sha.hexdigest(),
+                    "rows": len(records),
+                    "values": list(index),
+                    "skipped": self.skipped,
+                }) + "\n")
+                while piece := list(islice(rows, _SNAPSHOT_ROWS)):
+                    keys, verdicts, analyses, domains, tasks, models, created = zip(*piece)
+                    kinds, texts = zip(*keys)
+                    out.write(_encode([
+                        list(map(at, kinds)), texts, list(map(at, verdicts)), analyses, list(map(at, domains)),
+                        list(map(at, tasks)), list(map(at, models)), list(map(datetime.isoformat, created)),
+                    ]) + "\n")
+            os.replace(tmp, self.snapshot)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
     def lookup(self, key: KbKey) -> Optional[KbRecord]:
         """Latest record for a key, or None. Never touches any backend."""
@@ -255,13 +448,12 @@ class KnowledgeBase(JsonlLog):
 
 
 def kb_sync(path: Union[str, Path, None], clock: Callable[[], datetime] = utc_now) -> KnowledgeBase:
-    """Load a knowledge base by replaying its log; create the file lazily.
+    """Load a knowledge base from its log and snapshot; create the file lazily.
 
     A None path yields a purely in-memory store.
     """
     kb = KnowledgeBase(path, clock)
-    # One replay shares its closed-set values; see KbRecord.from_line.
-    kb.replay(functools.partial(KbRecord.from_line, shared={}))
+    kb.load()
     return kb
 
 

@@ -11,6 +11,7 @@ description rows, config and report files, and APK paths.
 
 from __future__ import annotations
 
+import io
 import json
 import re
 from contextlib import contextmanager
@@ -53,8 +54,20 @@ def loads(raw: str):
 
 
 @contextmanager
+def numbered_lines(fh, start: int = 1):
+    """``(line number, stripped line)`` per line of the binary stream ``fh`` from
+    its position, blank lines included, iterated in C. Lines end as in text
+    mode (``\\n``, ``\\r\\n`` or ``\\r``), and a byte that is not UTF-8 reaches the
+    caller as a lone surrogate of its own line. ``fh`` is left open."""
+    text = io.TextIOWrapper(fh, "utf-8", "surrogateescape")
+    try:
+        yield enumerate(map(str.strip, text), start)
+    finally:
+        text.detach()
+
+
+@contextmanager
 def jsonl_lines(path):
-    """``(line number, stripped line)`` per non-blank line, iterated in C. A byte
-    that is not UTF-8 reaches the caller as a lone surrogate of its own line."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        yield filter(itemgetter(1), enumerate(map(str.strip, fh), start=1))
+    """``numbered_lines`` of the file at ``path``, the blank ones left out."""
+    with open(path, "rb") as fh, numbered_lines(fh) as lines:
+        yield filter(itemgetter(1), lines)

@@ -118,6 +118,34 @@ class TestAnalyze:
         assert manifest["kb"] == manifest["summary_cache"] == {"corrupt_lines": 0, "append_failed": True}
         assert manifest["failed"] == 0
 
+    def test_manifest_says_how_the_kb_loaded_and_the_snapshot_changes_no_output(self, tmp_path, fixture_corpus):
+        apks, _, _ = fixture_corpus
+        _, cold = analyze(tmp_path, apks[:3], out="cold")
+        kb_path = tmp_path / "cold.kb.jsonl"
+        keys = len(kb_sync(kb_path).records)
+        manifest = json.loads((cold / "manifest.json").read_text())
+        assert manifest["kb_load"] == {"snapshot_rows": 0, "tail_lines": 0, "snapshot_written": True}
+        snapshot = tmp_path / "cold.kb.jsonl.snapshot"
+        outputs = {}
+        for name, with_snapshot in (("through", True), ("without", False)):
+            if not with_snapshot:
+                snapshot.unlink()
+            out_dir = tmp_path / name
+            argv = ["analyze", "--backend", "mock", "--kb", kb_path, "--out", out_dir, "--deterministic", *apks[:3]]
+            assert run_cli(*argv) == cli.EXIT_OK
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            outputs[name] = (
+                {p.name: p.read_bytes() for p in out_dir.iterdir() if p.name != "manifest.json"},
+                kb_path.read_bytes(),
+                (tmp_path / "cold.kb.jsonl.summaries").read_bytes(),
+            )
+            if with_snapshot:
+                assert manifest["kb_load"] == {"snapshot_rows": keys, "tail_lines": 0, "snapshot_written": False}
+            else:
+                lines = kb_path.read_bytes().count(b"\n")
+                assert manifest["kb_load"] == {"snapshot_rows": 0, "tail_lines": lines, "snapshot_written": True}
+        assert outputs["through"] == outputs["without"]
+
     def test_missing_apk_is_isolated(self, tmp_path, fixture_corpus):
         apks, _, _ = fixture_corpus
         code, out_dir = analyze(tmp_path, [apks[0], tmp_path / "missing.apk"])
@@ -364,6 +392,17 @@ class TestStats:
             "total": 6,
         }
         assert doc["component_domain_dist"]["ComputerVision"] == pytest.approx(4 / 6)
+
+    def test_kb_stats_read_through_the_snapshot_but_never_write_one(self, tmp_path, capsys):
+        kb_path = seed_kb(tmp_path / "kb.jsonl", [("Package", VERDICT_AI, 2, "ComputerVision", "Object Detection")])
+        assert run_cli("stats", "--kb", kb_path, "--json") == cli.EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.jsonl"]
+        kb_sync(kb_path).close()  # writes the snapshot
+        snapshot = (tmp_path / "kb.jsonl.snapshot").read_bytes()
+        replayed = capsys.readouterr().out
+        assert run_cli("stats", "--kb", kb_path, "--json") == cli.EXIT_OK
+        assert capsys.readouterr().out == replayed
+        assert (tmp_path / "kb.jsonl.snapshot").read_bytes() == snapshot
 
     def test_empty_kb_fails(self, tmp_path):
         kb_path = tmp_path / "kb.jsonl"

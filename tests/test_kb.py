@@ -1,16 +1,22 @@
+import functools
 import json
+import logging
 import re
 import sys
+import tempfile
 import threading
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+from aidiscover import kb as kb_module
 from aidiscover.kb import (
     VERDICT_AI,
     VERDICT_NON_AI,
     InputOrder,
+    JsonlLog,
     KbKey,
     KbRecord,
     KnowledgeBase,
@@ -316,10 +322,10 @@ def _is_valid(record: KbRecord) -> bool:
 
 # Quotes, backslashes, control characters and non-BMP text besides any code
 # point but a surrogate, which no UTF-8 file holds and replay refuses.
-_TEXT = st.text(
-    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "😀", "a", " "])
-    | st.characters(exclude_categories=("Cs",))
+_CHARS = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "😀", "a", " "]) | st.characters(
+    exclude_categories=("Cs",)
 )
+_TEXT = st.text(_CHARS)
 _RECORDS = st.builds(
     KbRecord,
     key=st.builds(KbKey, kind=st.sampled_from(["Package", "Api", "HttpsRequest", "ModelAsset"]), normalized_text=_TEXT),
@@ -542,6 +548,314 @@ def test_append_handle_stays_open_until_close(tmp_path):
     kb.insert(ai_record(text="com.third"))  # reopens lazily
     kb.close()
     assert len(kb_sync(path).records) == 3
+
+
+# The <kb>.snapshot sidecar.
+
+
+class _Recorder(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.records = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def _synced(path, snapshot=True):
+    """``kb_sync(path)``, or the full replay it replaces, and the ``(line number,
+    reason)`` of each line it logged as corrupt."""
+    logger, recorder = logging.getLogger("aidiscover.kb"), _Recorder()
+    logger.addHandler(recorder)
+    try:
+        if snapshot:
+            kb = kb_sync(path)
+        else:
+            kb = KnowledgeBase(path)
+            kb.replay(functools.partial(KbRecord.from_line, shared={}))
+    finally:
+        logger.removeHandler(recorder)
+    return kb, [r.args[1:] for r in recorder.records if "corrupt line" in r.msg]
+
+
+def _snapshot_of(path) -> Path:
+    return Path(f"{path}.snapshot")
+
+
+def _assert_loads_as_full_replay(path) -> KnowledgeBase:
+    loaded, logged = _synced(path)
+    replayed, replay_logged = _synced(path, snapshot=False)
+    # repr also compares the order and each timestamp's tzinfo.
+    assert repr(list(loaded.records.items())) == repr(list(replayed.records.items()))
+    assert loaded.corrupt_lines == replayed.corrupt_lines
+    assert logged == replay_logged
+    return loaded
+
+
+def _assert_snapshot_used(loaded, path) -> None:
+    """A snapshot this code wrote is used while its log only grows."""
+    if _snapshot_of(path).exists():
+        header = json.loads(_snapshot_of(path).read_text(encoding="utf-8").split("\n", 1)[0])
+        assert loaded.load_counts["snapshot_rows"] == header["rows"]
+
+
+# Valid by construction, so generation stays fast; keys from a small pool
+# too, so later lines overwrite earlier ones.
+_SHORT = st.text(_CHARS, max_size=8)
+_KEYS = st.builds(KbKey, kind=st.sampled_from(["Package", "Api"]), normalized_text=st.sampled_from(["com.a", "com.b"]) | _SHORT)
+_STAMPS = st.datetimes(timezones=st.sampled_from([None, timezone.utc, timezone(timedelta(hours=5, minutes=30))]))
+_LOGGED = st.builds(
+    KbRecord,
+    key=_KEYS,
+    verdict=st.just(VERDICT_AI),
+    analysis=_SHORT.map(lambda t: 'on-device "OCR" \\ ' + t),
+    domain=st.none() | _SHORT,
+    task=st.none() | _SHORT,
+    model_id=_SHORT,
+    created_at=_STAMPS,
+) | st.builds(
+    KbRecord,
+    key=_KEYS,
+    verdict=st.just(VERDICT_NON_AI),
+    analysis=st.none() | _SHORT,
+    domain=st.none(),
+    task=st.none(),
+    model_id=_SHORT,
+    created_at=_STAMPS,
+)
+_LINE = st.one_of(
+    _LOGGED.map(lambda r: r.to_line().encode("utf-8")),
+    _LOGGED.map(lambda r: json.dumps(json.loads(r.to_line())).encode()),  # every non-ASCII character escaped
+    st.sampled_from([b"", b" \t", b"{not json", b"[]", b"caf\xe9", b'{"kind": "Package", "text": "\\ud800"}']),
+)
+# Lines as text mode ends them, then a torn tail: a cut that may fall inside a character.
+_LOG = st.tuples(
+    st.lists(st.tuples(_LINE, st.sampled_from([b"\n", b"\r\n", b"\r"])).map(b"".join), max_size=8),
+    _LINE,
+    st.integers(0, 300),
+).map(lambda parts: b"".join(parts[0]) + parts[1][: parts[2]])
+
+
+@given(head=_LOG, inserted=st.lists(_LOGGED, max_size=4), tail=_LOG, more=st.lists(_LOGGED, max_size=3))
+@example(head=b'{"x"\n\xe2\x82', inserted=[non_ai_record()], tail=b"\r\n", more=[])
+def test_loading_through_the_snapshot_equals_a_full_replay(head, inserted, tail, more):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "kb.jsonl"
+        path.write_bytes(head)
+        kb = kb_sync(path)
+        for record in inserted:
+            kb.insert(record)
+        kb.close()
+        with open(path, "ab") as fh:  # lines another writer appended, or a torn tail
+            fh.write(tail)
+        loaded = _assert_loads_as_full_replay(path)
+        _assert_snapshot_used(loaded, path)
+        for record in more:
+            loaded.insert(record)
+        loaded.close()
+        _assert_snapshot_used(_assert_loads_as_full_replay(path), path)
+
+
+def test_a_snapshot_is_written_on_close_and_loaded_with_the_new_tail(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    path.write_text("{not a record\n" + ai_record(text="com.a").to_line() + "\n", encoding="utf-8")
+    kb = kb_sync(path)
+    assert kb.load_counts == {"snapshot_rows": 0, "tail_lines": 2, "snapshot_written": False}
+    kb.insert(non_ai_record(text="com.b"))
+    kb.close()
+    assert kb.load_counts["snapshot_written"] is True
+    with open(path, "a", encoding="utf-8") as fh:  # another writer's line
+        fh.write("\n" + ai_record(text="com.c").to_line() + "\n")
+    loaded, logged = _synced(path)
+    assert loaded.load_counts == {"snapshot_rows": 2, "tail_lines": 2, "snapshot_written": False}
+    assert list(loaded.records) == [KbKey.make("Package", t) for t in ("com.a", "com.b", "com.c")]
+    assert logged == [(1, loaded.skipped[0][1])] and loaded.corrupt_lines == 1
+
+
+def test_a_run_that_appends_nothing_to_a_current_snapshot_writes_nothing(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    kb = kb_sync(path)
+    kb.insert(ai_record())
+    kb.close()
+    before = _snapshot_of(path).stat()
+    again = kb_sync(path)
+    again.close()
+    assert again.load_counts == {"snapshot_rows": 1, "tail_lines": 0, "snapshot_written": False}
+    assert _snapshot_of(path).stat().st_mtime_ns == before.st_mtime_ns
+
+
+def test_a_log_without_a_snapshot_gets_one_on_close_unless_its_last_line_is_torn(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    path.write_text(ai_record().to_line() + "\n" + '{"kind": "Pack', encoding="utf-8")
+    kb_sync(path).close()
+    assert not _snapshot_of(path).exists()
+    path.write_text(ai_record().to_line() + "\n", encoding="utf-8")
+    kb = kb_sync(path)
+    kb.close()
+    assert kb.load_counts["snapshot_written"] and _snapshot_of(path).exists()
+    KnowledgeBase(tmp_path / "empty.jsonl").close()
+    kb_sync(tmp_path / "missing.jsonl").close()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.jsonl", "kb.jsonl.snapshot"]
+
+
+def test_snapshot_load_shares_closed_set_values_but_not_analysis(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    analysis = "on-device object detection for camera frames"
+    line = lambda i: ai_record(  # noqa: E731
+        text=f"com.vendor.m{i}", analysis=analysis, domain="ComputerVision", task="Object Detection"
+    ).to_line() + "\n"
+    path.write_text(line(0) + line(1), encoding="utf-8")
+    kb_sync(path).close()
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line(2))
+    kb = kb_sync(path)
+    assert kb.load_counts["snapshot_rows"] == 2 and kb.load_counts["tail_lines"] == 1
+    first, second, tail = kb.records.values()
+    for part in (lambda r: r.key.kind, lambda r: r.verdict, lambda r: r.model_id, lambda r: r.domain, lambda r: r.task):
+        assert part(first) is part(second) is part(tail)
+    assert first.analysis == second.analysis == tail.analysis
+    assert first.analysis is not second.analysis and second.analysis is not tail.analysis
+    [again, _, _] = kb_sync(path).records.values()
+    assert again.verdict == first.verdict and again.verdict is not first.verdict
+
+
+def _rewrite_snapshot(path, header=None, columns=None) -> None:
+    """Apply ``header(h)`` to the snapshot's header and ``columns(c)`` to its first column line."""
+    snapshot = _snapshot_of(path)
+    head, first, *rest = snapshot.read_text(encoding="utf-8").splitlines()
+    head, first = json.loads(head), json.loads(first)
+    if header is not None:
+        header(head)
+    if columns is not None:
+        columns(first)
+    snapshot.write_text("\n".join([json.dumps(head), json.dumps(first), *rest]) + "\n", encoding="utf-8")
+
+
+def _set(container, key, value):
+    container[key] = value
+
+
+_KINDS, _TEXTS, _VERDICTS, _ANALYSES, _DOMAINS, _TASKS, _MODELS, _CREATED = range(8)
+_FAULTS = {
+    "head byte changed": lambda path: path.write_bytes(path.read_bytes().replace(b"com.a0", b"com.A0")),
+    "log shorter than covers": lambda path: path.write_bytes(path.read_bytes()[:-40]),
+    "snapshot cut mid-line": lambda path: _snapshot_of(path).write_bytes(_snapshot_of(path).read_bytes()[:-30]),
+    "snapshot missing its last line": lambda path: _snapshot_of(path).write_text(
+        "".join(_snapshot_of(path).read_text(encoding="utf-8").splitlines(True)[:-1]), encoding="utf-8"
+    ),
+    "snapshot garbled": lambda path: _snapshot_of(path).write_bytes(b"\xff\xfe\x00garbage\n[1, 2]\n"),
+    "snapshot empty": lambda path: _snapshot_of(path).write_bytes(b""),
+    "unknown format": lambda path: _rewrite_snapshot(path, header=lambda h: _set(h, "format", 2)),
+    "header not an object": lambda path: _rewrite_snapshot(path, header=lambda h: h.clear()),
+    "covers not a number": lambda path: _rewrite_snapshot(path, header=lambda h: _set(h, "covers", str(h["covers"]))),
+    "skipped not pairs": lambda path: _rewrite_snapshot(path, header=lambda h: _set(h, "skipped", [[1]])),
+    "values not strings": lambda path: _rewrite_snapshot(path, header=lambda h: h["values"].append([])),
+    "nested past the recursion limit": lambda path: _snapshot_of(path).write_text(
+        _snapshot_of(path).read_text(encoding="utf-8").split("\n", 1)[0] + "\n" + "[" * 100_000 + "]" * 100_000 + "\n",
+        encoding="utf-8",
+    ),
+    "columns one string": lambda path: _rewrite_snapshot(path, columns=lambda c: c.__setitem__(slice(None), ["abcdefgh"])),
+    "a column not a list": lambda path: _rewrite_snapshot(path, columns=lambda c: _set(c, _TEXTS, "ab")),
+    "texts not strings": lambda path: _rewrite_snapshot(path, columns=lambda c: _set(c, _TEXTS, [1, 2])),
+    "analysis a number": lambda path: _rewrite_snapshot(path, columns=lambda c: _set(c[_ANALYSES], 0, 7)),
+    "index a string": lambda path: _rewrite_snapshot(path, columns=lambda c: _set(c[_VERDICTS], 0, "0")),
+    "columns of unequal length": lambda path: _rewrite_snapshot(path, columns=lambda c: c[_CREATED].pop()),
+    "a column missing": lambda path: _rewrite_snapshot(path, columns=lambda c: c.pop()),
+    "index out of range": lambda path: _rewrite_snapshot(path, columns=lambda c: _set(c[_KINDS], 0, 99)),
+    "negative index": lambda path: _rewrite_snapshot(path, columns=lambda c: _set(c[_DOMAINS], 1, -1)),
+    "bad timestamp": lambda path: _rewrite_snapshot(path, columns=lambda c: _set(c[_CREATED], 0, "yesterday")),
+    "timestamp not a string": lambda path: _rewrite_snapshot(path, columns=lambda c: _set(c[_CREATED], 1, 5)),
+    "duplicate key": lambda path: _rewrite_snapshot(path, columns=lambda c: _set(c[_TEXTS], 1, c[_TEXTS][0])),
+}
+
+
+def _fill(path, prefix="com.a") -> None:
+    path.write_text("{not a record\n", encoding="utf-8")
+    kb = kb_sync(path)
+    for i in range(5):
+        kb.insert(ai_record(text=f"{prefix}{i}", domain="ComputerVision", task="Detection") if i % 2 else non_ai_record(text=f"{prefix}{i}"))
+    kb.close()
+
+
+@pytest.mark.parametrize("fault", sorted(_FAULTS))
+def test_a_faulty_or_foreign_snapshot_falls_back_to_a_full_replay(tmp_path, monkeypatch, fault):
+    monkeypatch.setattr(kb_module, "_SNAPSHOT_ROWS", 2)  # three column lines
+    path = tmp_path / "kb.jsonl"
+    _fill(path)
+    assert len(_snapshot_of(path).read_text(encoding="utf-8").splitlines()) == 4
+    _FAULTS[fault](path)
+    loaded = _assert_loads_as_full_replay(path)
+    assert loaded.load_counts["snapshot_rows"] == 0
+
+
+def test_a_snapshot_copied_from_another_kb_falls_back_to_a_full_replay(tmp_path):
+    path, other = tmp_path / "kb.jsonl", tmp_path / "other.jsonl"
+    _fill(path)
+    _fill(other, prefix="org.b")
+    _snapshot_of(path).write_bytes(_snapshot_of(other).read_bytes())
+    loaded = _assert_loads_as_full_replay(path)
+    assert loaded.load_counts["snapshot_rows"] == 0 and len(loaded.records) == 5
+
+
+def test_a_leftover_temporary_file_is_ignored(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    _fill(path)
+    (tmp_path / "kb.jsonl.snapshot.x1y2.tmp").write_text("{broken", encoding="utf-8")
+    assert _assert_loads_as_full_replay(path).load_counts["snapshot_rows"] == 5
+
+
+def test_no_snapshot_after_a_degraded_append(tmp_path, monkeypatch):
+    path = tmp_path / "kb.jsonl"
+    path.write_text(ai_record().to_line() + "\n", encoding="utf-8")
+    kb = kb_sync(path)
+
+    def refuse(log):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(JsonlLog, "_open", refuse)
+    kb.insert(non_ai_record())
+    kb.close()
+    assert kb.degraded and not _snapshot_of(path).exists()
+
+
+def test_no_snapshot_when_another_handle_appended_during_the_run(tmp_path):
+    path = tmp_path / "kb.jsonl"
+    path.write_text(ai_record().to_line() + "\n", encoding="utf-8")
+    kb = kb_sync(path)
+    other = KnowledgeBase(path)
+    other.insert(non_ai_record(text="com.other"))
+    other.close()
+    kb.insert(non_ai_record(text="com.mine"))
+    kb.close()
+    assert not kb.load_counts["snapshot_written"] and not other.load_counts["snapshot_written"]
+    assert not _snapshot_of(path).exists()
+    assert len(_assert_loads_as_full_replay(path).records) == 3
+
+
+def test_no_snapshot_without_a_path():
+    kb = kb_sync(None)
+    kb.insert(ai_record())
+    kb.close()
+    assert kb.load_counts == {"snapshot_rows": 0, "tail_lines": 0, "snapshot_written": False}
+
+
+def test_a_failed_snapshot_write_keeps_the_old_one_and_leaves_no_temporary_file(tmp_path, monkeypatch, caplog):
+    path = tmp_path / "kb.jsonl"
+    _fill(path)
+    before = _snapshot_of(path).read_bytes()
+    kb = kb_sync(path)
+    kb.insert(ai_record(text="com.new"))
+
+    def refuse(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(kb_module.os, "replace", refuse)
+    kb.close()  # does not raise
+    assert "not written" in caplog.text and not kb.load_counts["snapshot_written"]
+    assert _snapshot_of(path).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kb.jsonl", "kb.jsonl.snapshot"]
+    monkeypatch.undo()
+    assert KbKey.make("Package", "com.new") in _assert_loads_as_full_replay(path).records
 
 
 def _in_thread(fn, *args):

@@ -11,6 +11,7 @@ absolute paths, so it is left out.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -96,6 +97,9 @@ def test_deterministic_outputs_match_pinned_digests(tmp_path, fixture_corpus, mo
         argv = ["analyze", "--backend", "mock", "--order", order, "--audience", audience,
                 "--kb", kb_path, "--out", out_dir, "--deterministic", *apks]
         assert cli.main([str(a) for a in argv]) == cli.EXIT_OK
+        # The warm passes load the KB through the snapshot the cold pass wrote.
+        kb_load = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["kb_load"]
+        assert (kb_load["snapshot_rows"] > 0) == (name != "cold")
         seen[name] = {
             "reports": _reports_digest(out_dir),
             "kb": _file_digest(kb_path),
