@@ -7,15 +7,12 @@ set per app, together with name-obfuscation statistics.
 
 from __future__ import annotations
 
-import functools
 import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import attrgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Union
 from urllib.parse import urlsplit
 
 from .apk import ApkArchive, EntryKind
@@ -39,7 +36,6 @@ URL_RE = re.compile(
 _is_clean_signature = re.compile(r"[^\x00-\x1f\x7f]*").fullmatch
 _SIGNATURE_CLASS = re.compile(r"<([^:>]+):")
 _tuple_new = tuple.__new__
-_class_of = attrgetter("class_name")
 
 # Obfuscators rename to one- and two-letter identifiers.
 OBFUSCATED_SEGMENT_LEN = 2
@@ -70,11 +66,6 @@ class ApiSignature:
     def render(method: MethodRef) -> str:
         params = ",".join(method.param_types)
         return f"<{method.class_name}: {method.return_type} {method.name}({params})>"
-
-    @staticmethod
-    def head_of(class_name: str) -> str:
-        """The text before the first ``:`` of every signature rendered for a method of ``class_name``."""
-        return ("<" + class_name).partition(":")[0]
 
     @staticmethod
     def class_name_of(rendered: str) -> Optional[str]:
@@ -164,21 +155,34 @@ def package_of(class_name: str) -> Optional[str]:
     return head if sep else None
 
 
+def _api_texts(symbols: DexSymbols, whitelist: Optional[Whitelist]) -> Iterator[str]:
+    """``ApiSignature.render`` of every method_ids row whose class ``whitelist`` keeps, in
+    row order: a ``"<class: "`` per type, a ``"ret "`` and a ``"(params)>"`` per proto,
+    so a method costs one concatenation with its name."""
+    heads = ["<" + t + ": " for t in symbols.types]
+    if whitelist is not None:
+        heads = [None if whitelist.drops_api_head(head.partition(":")[0]) else head for head in heads]
+    rets = [ret + " " for ret, _ in symbols.protos]
+    tails = ["(" + ",".join(params) + ")>" for _, params in symbols.protos]
+    names = symbols.strings
+    return (
+        f"{head}{rets[proto]}{names[name]}{tails[proto]}"
+        for cls, proto, name in zip(symbols.method_classes, symbols.method_protos, symbols.method_names)
+        if (head := heads[cls]) is not None
+    )
+
+
 def candidates_from_symbols(
-    symbols: DexSymbols, source: str, keeps_class: Optional[Callable[[str], bool]] = None
+    symbols: DexSymbols, source: str, whitelist: Optional[Whitelist] = None
 ) -> list[Candidate]:
     """Candidates from one parsed .dex file: packages, API signatures, URL strings.
 
-    A method whose class fails ``keeps_class`` is skipped before it is rendered.
+    A method whose class ``whitelist`` drops is skipped before its text is built.
     """
     packages = filter(None, map(package_of, symbols.class_names))
-    methods = symbols.methods
-    if keeps_class is not None:
-        methods = compress(methods, map(keeps_class, map(_class_of, methods)))
-    apis = map(ApiSignature.render, methods)
     return (
         _counted(CandidateKind.PACKAGE, packages, source, _is_clean_text)
-        + _counted(CandidateKind.API, apis, source, _is_clean_signature)
+        + _counted(CandidateKind.API, _api_texts(symbols, whitelist), source, _is_clean_signature)
         + _counted(CandidateKind.HTTPS_REQUEST, _urls_in(symbols.strings), source, _is_clean_url)
     )
 
@@ -296,11 +300,8 @@ def extract_candidates(
     A missing .dex is a warning, not a failure: native and asset extraction
     still run. Unparseable .dex or .so entries are skipped with a warning.
     With a ``whitelist``, the methods of each class it drops are skipped
-    unrendered, each class decided once; ``apply_whitelist`` drops the rest.
+    unrendered; ``apply_whitelist`` drops the rest.
     """
-    keeps_class = None
-    if whitelist is not None:
-        keeps_class = functools.cache(lambda name: not whitelist.drops_api_head(ApiSignature.head_of(name)))
     warnings: list[str] = []
     groups: list[list[Candidate]] = []
     defined_classes: list[str] = []
@@ -314,7 +315,7 @@ def extract_candidates(
         except Exception as exc:  # noqa: BLE001 - per-entry isolation
             warnings.append(f"{entry.name}: dex parse failed ({exc})")
             continue
-        groups.append(candidates_from_symbols(symbols, entry.name, keeps_class))
+        groups.append(candidates_from_symbols(symbols, entry.name, whitelist))
         defined_classes.extend(symbols.defined_class_names)
 
     for entry in archive.entries_of_kind(EntryKind.NATIVE_LIB):

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import re
 import struct
+import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -66,12 +68,36 @@ class MethodRef(NamedTuple):
 
 @dataclass
 class DexSymbols:
-    """Everything the id tables say about one .dex file."""
+    """Everything the id tables say about one .dex file. The method_ids rows are three
+    index columns: into ``types`` (source forms), ``protos`` (return, params) and ``strings``."""
 
     strings: list[str]
     class_names: list[str] = field(default_factory=list)  # defined + referenced, source form
     defined_class_names: list[str] = field(default_factory=list)
-    methods: list[MethodRef] = field(default_factory=list)
+    types: list[str] = field(default_factory=list)
+    protos: list[tuple[str, list[str]]] = field(default_factory=list)
+    method_classes: Sequence[int] = ()
+    method_protos: Sequence[int] = ()
+    method_names: Sequence[int] = ()
+
+    @property
+    def methods(self) -> "MethodRefs":
+        return MethodRefs(self)
+
+
+class MethodRefs(Sequence):
+    """Read-only view of the method_ids rows; each ``MethodRef`` is built when it is read."""
+
+    def __init__(self, symbols: DexSymbols):
+        self._symbols = symbols
+
+    def __len__(self) -> int:
+        return len(self._symbols.method_classes)
+
+    def __getitem__(self, i: int) -> MethodRef:
+        s = self._symbols
+        ret, params = s.protos[s.method_protos[i]]
+        return _tuple_new(MethodRef, (s.types[s.method_classes[i]], ret, s.strings[s.method_names[i]], params))
 
 
 def descriptor_to_source(desc: str) -> str:
@@ -80,10 +106,9 @@ def descriptor_to_source(desc: str) -> str:
     "Lcom/foo/Bar;" -> "com.foo.Bar", "[I" -> "int[]", "V" -> "void".
     Unknown shapes are returned unchanged.
     """
-    dims = 0
-    while desc.startswith("["):
-        dims += 1
-        desc = desc[1:]
+    element = desc.lstrip("[")
+    dims = len(desc) - len(element)
+    desc = element
     if desc in _PRIMITIVES:
         base = _PRIMITIVES[desc]
     elif desc.startswith("L") and desc.endswith(";"):
@@ -127,18 +152,23 @@ def _decode_mutf8(raw: bytes) -> str:
     return raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", errors="replace")
 
 
+def _table_bytes(data: bytes, header_off: int, row_size: int, what: str) -> bytes:
+    """A copy of the id table whose (size, offset) pair sits at ``header_off``, bounds-checked."""
+    size, off = struct.unpack_from("<II", data, header_off)
+    if size == 0:
+        return b""
+    end = off + size * row_size
+    if off < HEADER_SIZE or end > len(data):
+        raise TruncatedDex(f"{what} table [{off:#x}, {end:#x}) out of bounds")
+    return data[off:end]
+
+
 def _table(data: bytes, header_off: int, row_fmt: str, what: str) -> Iterator[tuple]:
     """Rows of the id table whose (size, offset) pair sits at ``header_off``.
 
     The whole table is bounds-checked before any row is returned.
     """
-    size, off = struct.unpack_from("<II", data, header_off)
-    if size == 0:
-        return iter(())
-    end = off + size * struct.calcsize(row_fmt)
-    if off < HEADER_SIZE or end > len(data):
-        raise TruncatedDex(f"{what} table [{off:#x}, {end:#x}) out of bounds")
-    return struct.iter_unpack(row_fmt, memoryview(data)[off:end])
+    return struct.iter_unpack(row_fmt, _table_bytes(data, header_off, struct.calcsize(row_fmt), what))
 
 
 def parse_dex(data: bytes) -> DexSymbols:
@@ -166,7 +196,7 @@ def parse_dex(data: bytes) -> DexSymbols:
     # (shorty_idx, return_type_idx, parameters_off)
     proto_ids = _table(data, _OFF_PROTO_IDS, "<III", "proto_ids")
     # (class_idx u16, proto_idx u16, name_idx u32)
-    method_ids = _table(data, _OFF_METHOD_IDS, "<HHI", "method_ids")
+    method_ids = _table_bytes(data, _OFF_METHOD_IDS, 8, "method_ids")
     # only class_idx (u32 at row start) matters for defined classes
     class_defs = _table(data, _OFF_CLASS_DEFS, "<I28x", "class_defs")
 
@@ -175,8 +205,7 @@ def parse_dex(data: bytes) -> DexSymbols:
     for (str_off,) in string_ids:
         if str_off >= len(data):
             raise TruncatedDex(f"string_data offset {str_off:#x} out of bounds")
-        _, lead = _uleb128(data, str_off)
-        start = str_off + lead
+        start = str_off + (1 if data[str_off] < 0x80 else _uleb128(data, str_off)[1])
         end = data.find(b"\x00", start)
         if end < 0:
             raise TruncatedDex(f"unterminated string data at {str_off:#x}")
@@ -211,12 +240,18 @@ def parse_dex(data: bytes) -> DexSymbols:
                 params.append(sources[type_idx])
         protos.append((sources[return_type_idx], params))
 
-    methods: list[MethodRef] = []
-    for i, (class_idx, proto_idx, name_idx) in enumerate(method_ids):
-        if class_idx >= len(descriptors) or proto_idx >= len(protos) or name_idx >= len(strings):
-            raise TruncatedDex(f"method_id {i} index out of range")
-        ret, params = protos[proto_idx]
-        methods.append(_tuple_new(MethodRef, (sources[class_idx], ret, strings[name_idx], params)))
+    # method_ids as columns, each checked by its maximum; the first bad row is sought only on failure.
+    if sys.byteorder == "little":  # the table's copy, read in place; the file is not kept alive
+        halves, words = memoryview(method_ids).cast("H"), memoryview(method_ids).cast("I")
+    else:
+        halves = struct.unpack(f"<{len(method_ids) // 2}H", method_ids)
+        words = struct.unpack(f"<{len(method_ids) // 4}I", method_ids)
+    classes, proto_idxs, names = halves[0::4], halves[1::4], words[1::2]
+    bounds = (len(descriptors), len(protos), len(strings))
+    if classes and any(max(col) >= bound for col, bound in zip((classes, proto_idxs, names), bounds)):
+        for i, row in enumerate(zip(classes, proto_idxs, names)):
+            if any(idx >= bound for idx, bound in zip(row, bounds)):
+                raise TruncatedDex(f"method_id {i} index out of range")
 
     defined: list[str] = []
     for i, (class_idx,) in enumerate(class_defs):
@@ -230,5 +265,9 @@ def parse_dex(data: bytes) -> DexSymbols:
         strings=strings,
         class_names=[n for n in class_names if n],
         defined_class_names=defined,
-        methods=methods,
+        types=sources,
+        protos=protos,
+        method_classes=classes,
+        method_protos=proto_idxs,
+        method_names=names,
     )

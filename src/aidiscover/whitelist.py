@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
-from .candidates import ApiSignature, Candidate, CandidateKind, CandidateSet, dotted_prefixes
+from .candidates import Candidate, CandidateKind, CandidateSet, dotted_prefixes
 from .listfile import parse_list, read_list
 
 
@@ -21,19 +21,44 @@ class Whitelist:
 
     Prefixes are stored lowercase without a trailing dot; matching is
     segment-aware, so prefix "java" covers "java.lang" but never "javax".
+
+    A name is decided by an exact hit, or else by its package, the text before
+    its last ".". Each package is decided once per instance and remembered,
+    so all apps and threads that share the instance share the decisions.
     """
 
     prefixes: frozenset[str]
+    _longest: int = field(init=False, repr=False, compare=False)
+    _packages: dict[str, bool] = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_longest", max(map(len, self.prefixes), default=0))
+
+    def _decide(self, lowered: str) -> bool:
+        """Whether lowercased ``lowered`` or a prefix of it that ends before a "." is whitelisted."""
+        # No cut longer than every prefix can match, so a hostile name of many
+        # segments costs no more than the longest prefix, and neither does its entry.
+        head = lowered[: self._longest + 1]
+        hit = self._packages.get(head)
+        if hit is None:
+            hit = self._packages[head] = not self.prefixes.isdisjoint(dotted_prefixes(head))
+        return hit
 
     def matches(self, dotted: str) -> bool:
-        return not self.prefixes.isdisjoint(dotted_prefixes(dotted.lower()))
+        lowered = dotted.lower()
+        package, dot, _ = lowered.rpartition(".")
+        return lowered in self.prefixes or (bool(dot) and self._decide(package))
+
+    def matches_package(self, package: str) -> bool:
+        """``matches(package)``, remembered for ``package`` itself rather than its parent."""
+        return self._decide(package.lower())
 
     def drops_api_head(self, head: str) -> bool:
         """Whether an API signature whose text before its first ``:`` is ``head``
         is dropped: the class that ``head`` opens with ``<`` is whitelisted."""
-        # class_name_of(head + ":") is class_name_of(text) for a text with a ":".
-        class_name = ApiSignature.class_name_of(head + ":")
-        return class_name is not None and self.matches(class_name)
+        # The class ApiSignature.class_name_of(head + ":") parses, found without its regex.
+        name = head[1:]
+        return head[:1] == "<" and ">" not in name and self.matches(name.strip())
 
     @classmethod
     def empty(cls) -> "Whitelist":
@@ -64,9 +89,9 @@ def apply_whitelist(cand_set: CandidateSet, wl: Whitelist) -> CandidateSet:
 
     Idempotent; preserves candidate order, occurrences, and every candidate
     of other kinds. An API candidate is decided by its class, the text before
-    its first ``:``; each distinct class and name is decided once per call.
+    its first ``:``, each distinct one once per call; a Package candidate by
+    itself. Both reuse the package decisions extraction made with ``wl``.
     """
-    matches = functools.cache(wl.matches)
     drops_class = functools.cache(wl.drops_api_head)
 
     # URL and model-asset candidates are never whitelisted away; the many API ones go first.
@@ -75,7 +100,7 @@ def apply_whitelist(cand_set: CandidateSet, wl: Whitelist) -> CandidateSet:
         c for c in cand_set.candidates
         if not (
             ":" in c.text and drops_class(c.text.partition(":")[0]) if c.kind == api
-            else c.kind == package and matches(c.text)
+            else c.kind == package and wl.matches_package(c.text)
         )
     ]
     return CandidateSet(

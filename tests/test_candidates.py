@@ -2,6 +2,7 @@ import copy
 import json
 import re
 import shutil
+import struct
 import subprocess
 import tempfile
 from collections import Counter
@@ -10,8 +11,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
+from aidiscover import candidates
 from aidiscover.apk import open_apk
 from aidiscover.candidates import (
+    _counted,
     _is_clean_signature,
     _is_clean_text,
     _is_clean_url,
@@ -29,12 +32,12 @@ from aidiscover.candidates import (
     merge_candidates,
     package_of,
 )
-from aidiscover.dex import MethodRef, parse_dex
+from aidiscover.dex import MethodRef, TruncatedDex, parse_dex
 from aidiscover.native import BadElfMagic, ElfScan, scan_elf_strings
 from aidiscover.whitelist import Whitelist, apply_whitelist, parse_whitelist
 
 from conftest import MUTATIONS, OPENAI_BASE_URL, OPENAI_CHAT_URL, golden_dex1, golden_elf, mutate
-from helpers import DexBuilder, build_apk, build_elf32_msb, build_elf64
+from helpers import DexBuilder, _mutf8, _uleb128, build_apk, build_elf32_msb, build_elf64
 
 
 def by_kind(cands, kind):
@@ -431,7 +434,7 @@ def test_whitelist_before_rendering_equals_the_whitelist_after(data):
     # Whitelist a prefix of about two in three names, each cut from the name or
     # from the class its signatures name, so that one whitelist both drops and
     # keeps classes, and near misses come up.
-    seen = (ApiSignature.class_name_of(ApiSignature.head_of(n) + ":") for n in names)
+    seen = (ApiSignature.class_name_of("<" + n + ":") for n in names)
     prefixes = {
         data.draw(st.sampled_from(dotted_prefixes(name.lower()) + dotted_prefixes((parsed or name).lower())))
         for name, parsed in zip(names, seen)
@@ -457,9 +460,15 @@ def test_whitelist_before_rendering_equals_the_whitelist_after(data):
 
 
 def test_no_method_of_a_whitelisted_class_is_rendered(tmp_path, monkeypatch):
-    render = ApiSignature.render
+    api_texts = candidates._api_texts
     seen = []
-    monkeypatch.setattr(ApiSignature, "render", staticmethod(lambda m: seen.append(m.class_name) or render(m)))
+
+    def spy(symbols, whitelist):
+        for text in api_texts(symbols, whitelist):
+            seen.append(ApiSignature.class_name_of(text))
+            yield text
+
+    monkeypatch.setattr(candidates, "_api_texts", spy)
     dex = DexBuilder()
     for cls in ("java.util.Lister", "JAVA.Upper", "javax.crypto.Cipher", "com.acme.Thing"):
         dex.add_class(cls, [("void", "go", []), ("int", "size", [])])
@@ -472,3 +481,113 @@ def test_no_method_of_a_whitelisted_class_is_rendered(tmp_path, monkeypatch):
         "<javax.crypto.Cipher: int size()>",
         "<javax.crypto.Cipher: void go()>",
     ]
+
+
+def raw_dex(strings, types, protos, methods) -> bytes:
+    """A DEX image whose id tables hold exactly the given rows, written with no index checked:
+    ``types`` are string indexes, ``protos`` (return type index, parameter type indexes) and
+    ``methods`` (class type index, proto index, name string index)."""
+    tables = [(0x38, "<I", len(strings)), (0x40, "<I", len(types)), (0x48, "<III", len(protos)), (0x58, "<HHI", len(methods))]
+    offsets, end = [], 0x70
+    for _, fmt, count in tables:
+        offsets.append(end)
+        end += struct.calcsize(fmt) * count
+    blob = bytearray(end)
+    list_offs = []
+    for _, params in protos:
+        blob += bytes(-len(blob) % 4)
+        list_offs.append(len(blob) if params else 0)
+        if params:
+            blob += struct.pack(f"<I{len(params)}H", len(params), *params)
+    string_offs = []
+    for text in strings:
+        string_offs.append(len(blob))
+        blob += _uleb128(len(text)) + _mutf8(text) + b"\x00"
+    blob[:8] = b"dex\n035\x00"
+    struct.pack_into("<III", blob, 0x20, len(blob), 0x70, 0x12345678)
+    rows = [
+        [(off,) for off in string_offs],
+        [(idx,) for idx in types],
+        [(0, ret, off) for (ret, _), off in zip(protos, list_offs)],
+        methods,
+    ]
+    for (header_off, fmt, count), table_off, table_rows in zip(tables, offsets, rows):
+        struct.pack_into("<II", blob, header_off, count, table_off)
+        for i, row in enumerate(table_rows):
+            struct.pack_into(fmt, blob, table_off + struct.calcsize(fmt) * i, *row)
+    return bytes(blob)
+
+
+def _reference_candidates(symbols, source, wl):
+    """``candidates_from_symbols`` by the old rules: every method rendered, then dropped
+    per text when a segment-wise prefix scan finds its class in ``wl``."""
+
+    def dropped(text):
+        cls = ApiSignature.class_name_of(text)
+        return cls is not None and any(cls.lower() == p or cls.lower().startswith(p + ".") for p in wl.prefixes)
+
+    apis = map(ApiSignature.render, symbols.methods)
+    if wl is not None:
+        apis = [text for text in apis if not dropped(text)]
+    return (
+        _counted(CandidateKind.PACKAGE, filter(None, map(package_of, symbols.class_names)), source, _is_clean_text)
+        + _counted(CandidateKind.API, apis, source, _is_clean_signature)
+        + _counted(CandidateKind.HTTPS_REQUEST, _urls_in(symbols.strings), source, _is_clean_url)
+    )
+
+
+def _some_whitelist(data, symbols):
+    """None, or a whitelist of prefixes cut from about half of the classes the methods name."""
+    if data.draw(st.booleans()):
+        return None
+    names = {ApiSignature.class_name_of(ApiSignature.render(m)) or m.class_name for m in symbols.methods}
+    prefixes = {data.draw(st.sampled_from(dotted_prefixes(n.lower()))) for n in sorted(names) if data.draw(st.booleans())}
+    return Whitelist(prefixes=frozenset(prefixes - {""}) or frozenset({"a"}))
+
+
+# Descriptors, names and strings with control characters, dots and slashes,
+# so that "La/b;" and "La.b;" both come up and render alike.
+_raw_texts = st.one_of(
+    st.sampled_from(["La/b;", "La.b;", "La/b/C;", "[La.b;", "I", "V", "[[J", "La/\x01;", "Ljava/lang/X;", "run"]),
+    st.text(st.sampled_from([*"aB./;L[:<> ", "\x00", "\t", "\x1f", "\x7f", "é"]), max_size=6),
+)
+
+
+@given(st.data())
+def test_candidates_from_raw_id_tables_equal_the_rendered_reference(data):
+    strings = data.draw(st.lists(_raw_texts, min_size=1, max_size=8))
+    string_idx = st.integers(0, len(strings) - 1)
+    types = data.draw(st.lists(string_idx, min_size=1, max_size=6))
+    type_idx = st.integers(0, len(types) - 1)
+    protos = data.draw(st.lists(st.tuples(type_idx, st.lists(type_idx, max_size=3)), min_size=1, max_size=4))
+    # Rows repeat, and now and then an index runs one or more past its table.
+    in_range = st.tuples(type_idx, st.integers(0, len(protos) - 1), string_idx)
+    stray = st.tuples(st.integers(0, 0xFFFF), st.integers(0, 0xFFFF), st.integers(0, 2**32 - 1))
+    rows = data.draw(st.lists(st.sampled_from(data.draw(st.lists(in_range, min_size=1, max_size=4))), max_size=12))
+    if data.draw(st.integers(0, 9)) == 0:
+        rows.insert(data.draw(st.integers(0, len(rows))), data.draw(stray))
+    blob = raw_dex(strings, types, protos, rows)
+    bounds = (len(types), len(protos), len(strings))
+    bad = next((i for i, row in enumerate(rows) if any(x >= b for x, b in zip(row, bounds))), None)
+    if bad is not None:
+        with pytest.raises(TruncatedDex, match=f"^method_id {bad} index out of range$"):
+            parse_dex(blob)
+        return
+    symbols = parse_dex(blob)
+    wl = _some_whitelist(data, symbols)
+    assert candidates_from_symbols(symbols, "classes.dex", wl) == _reference_candidates(symbols, "classes.dex", wl)
+
+
+@given(st.data())
+def test_candidates_from_built_dex_equal_the_rendered_reference(data):
+    names = data.draw(st.lists(_hostile.filter(bool), min_size=1, max_size=4, unique=True))
+    builder = DexBuilder()
+    for cls in data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)):
+        methods = st.tuples(st.sampled_from(["void", "int[]", *names]), st.sampled_from(["go", *names]),
+                            st.lists(st.sampled_from(["long", *names]), max_size=2))
+        # sampled from a short list, so a class declares the same method twice now and then
+        builder.add_class(cls, data.draw(st.lists(st.sampled_from(data.draw(st.lists(methods, min_size=1, max_size=3))),
+                                                  max_size=4)))
+    symbols = parse_dex(builder.build())
+    wl = _some_whitelist(data, symbols)
+    assert candidates_from_symbols(symbols, "classes.dex", wl) == _reference_candidates(symbols, "classes.dex", wl)

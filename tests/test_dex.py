@@ -1,4 +1,5 @@
 import struct
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +33,11 @@ def test_descriptor_to_source(descriptor, source):
     assert descriptor_to_source(descriptor) == source
 
 
+def test_a_deep_array_descriptor_renders_every_dimension():
+    depth = 3_000_000
+    assert descriptor_to_source("[" * depth + "Lcom/x/Y;") == "com.x.Y" + "[]" * depth
+
+
 def test_parse_golden_dex_tables():
     symbols = parse_dex(golden_dex1())
     assert OPENAI_BASE_URL in symbols.strings
@@ -58,6 +64,18 @@ def test_method_with_parameters_renders_in_order():
     symbols = parse_dex(dex)
     rendered = {ApiSignature.render(m) for m in symbols.methods}
     assert rendered == {"<com.a.B: java.lang.String join(int,java.lang.String,byte[])>"}
+
+
+def test_method_columns_read_alike_on_a_big_endian_host(monkeypatch):
+    # Enough classes and names that some indexes need both bytes of their word.
+    builder = DexBuilder()
+    for i in range(300):
+        builder.add_class(f"com.a.C{i}", [("int", f"m{i}", ["long"])])
+    dex = builder.build()
+    native = list(parse_dex(dex).methods)
+    monkeypatch.setattr(sys, "byteorder", "big")
+    assert list(parse_dex(dex).methods) == native
+    assert sorted(native) == sorted((f"com.a.C{i}", "int", f"m{i}", ["long"]) for i in range(300))
 
 
 def test_bad_magic():

@@ -3,7 +3,15 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from aidiscover.candidates import ApiSignature, Candidate, CandidateKind, CandidateSet, dotted_prefixes
+from aidiscover.apk import open_apk
+from aidiscover.candidates import (
+    ApiSignature,
+    Candidate,
+    CandidateKind,
+    CandidateSet,
+    dotted_prefixes,
+    extract_candidates,
+)
 from aidiscover.whitelist import (
     EmptyWhitelist,
     Whitelist,
@@ -11,6 +19,8 @@ from aidiscover.whitelist import (
     load_whitelist,
     parse_whitelist,
 )
+
+from helpers import DexBuilder, build_apk
 
 
 def make_set(cands):
@@ -85,6 +95,51 @@ _names = st.text(alphabet="aAbB.", max_size=10)
 def test_matches_agrees_with_prefix_scan(name, prefixes, cut):
     wl = Whitelist(prefixes=frozenset(prefixes + [name.lower()[:cut]]))
     assert wl.matches(name) == reference_matches(wl, name)
+    assert wl.matches_package(name) == reference_matches(wl, name)
+    # Asked again, now from the remembered package decisions, it answers as every cut of the name does.
+    assert wl.matches(name) == (not wl.prefixes.isdisjoint(dotted_prefixes(name.lower())))
+
+
+@pytest.mark.parametrize("prefixes", [{"a.a.a"}, {"b", "a.b"}, {"a." * 9 + "b"}, {"a.a.A.a"}])
+def test_a_name_of_many_segments_decides_as_dotted_prefixes_does(prefixes):
+    # 100k segments: every cut of the name held at once would take about 10 GB.
+    segments = ["a"] * 100_000
+    for name in (".".join(segments), ".".join(segments[:10] + ["b"] + segments), "A." * 99_999 + "B"):
+        wl = Whitelist(prefixes=frozenset(prefixes))
+        expected = reference_matches(wl, name)
+        # dotted_prefixes of a short head of the name agrees wherever it decides alone.
+        assert expected == (not wl.prefixes.isdisjoint(dotted_prefixes(name.lower()[:1000])[:-1]))
+        assert wl.matches(name) == expected
+        assert wl.matches_package(name) == expected
+        assert wl.drops_api_head("<" + name) == expected
+        assert all(len(key) <= 20 for key in wl._packages)
+
+
+def test_equal_whitelists_stay_equal_and_hash_alike_after_use():
+    used, fresh = parse_whitelist("java.\nandroid.\n"), parse_whitelist("android.\njava.\n")
+    assert used.matches("java.lang.String") and not used.matches_package("com.acme")
+    assert used._packages and not fresh._packages
+    assert used == fresh and hash(used) == hash(fresh)
+    assert {used: 1}[fresh] == 1
+    assert repr(used) == repr(Whitelist(prefixes=used.prefixes))
+
+
+def test_apply_whitelist_after_extraction_decides_no_new_package(tmp_path):
+    dex = DexBuilder()
+    for cls in ("java.util.List", "com.acme.vision.Thing", "com.acme.Other", "Standalone", "android.app.Activity"):
+        dex.add_class(cls, [("void", "go", ["java.lang.String[]"]), ("int", "size", [])])
+    dex.add_referenced_class("org.json.JSONObject")
+    # The longest prefix outruns every package here, so each is remembered whole.
+    wl = parse_whitelist("java.\nandroid.\norg.jetbrains.annotations.\n")
+    with open_apk(build_apk(tmp_path / "one.apk", [("classes.dex", dex.build())])) as archive:
+        extracted = extract_candidates(archive, "one", None, wl)
+    decided = dict(wl._packages)
+    assert set(decided) == {"java.util", "java.lang", "com.acme.vision", "com.acme", "android.app", "org.json"}
+    kept = apply_whitelist(extracted, wl)
+    assert wl._packages == decided
+    assert {c.text for c in kept.candidates if c.kind == CandidateKind.PACKAGE} == {
+        "com.acme", "com.acme.vision", "org.json"
+    }
 
 
 def test_apply_whitelist_drops_and_keeps():
