@@ -32,8 +32,16 @@ URL_RE = re.compile(
     r"https?://[A-Za-z0-9](?:[A-Za-z0-9.-]*[A-Za-z0-9])?(?::\d{1,5})?(?:/[^\s\"'<>`\\]*)?"
 )
 
-# Holds no control character: a rendered signature, bracketed and never padded, is then clean.
-_is_clean_signature = re.compile(r"[^\x00-\x1f\x7f]*").fullmatch
+_no_control_character = re.compile(r"[^\x00-\x1f\x7f]*").fullmatch
+
+
+def _is_clean_signature(text: str) -> bool:
+    """Whether ``text`` holds no C0 control character or DEL: a rendered signature, bracketed
+    and never padded, is then clean. Text with no unprintable character holds none, and
+    ASCII text is unprintable only by one, so the regex runs only on text beyond ASCII."""
+    return text.isprintable() or (not text.isascii() and _no_control_character(text) is not None)
+
+
 _SIGNATURE_CLASS = re.compile(r"<([^:>]+):")
 _tuple_new = tuple.__new__
 
@@ -106,12 +114,19 @@ class ObfuscationStats:
 
 @dataclass
 class CandidateSet:
-    """All candidates of one app, deduplicated and deterministically ordered."""
+    """All candidates of one app, deduplicated and deterministically ordered.
+
+    ``api_whitelist`` is a whitelist that already decided every API candidate: the one
+    ``extract_candidates`` skipped classes by, or the one ``apply_whitelist`` applied. It
+    is a hint, so it takes no part in equality; a set whose API candidates change after
+    it was made must go without it.
+    """
 
     app_id: str
     candidates: list[Candidate] = field(default_factory=list)
     obfuscation: ObfuscationStats = field(default_factory=ObfuscationStats)
     warnings: list[str] = field(default_factory=list)
+    api_whitelist: Optional[Whitelist] = field(default=None, repr=False, compare=False)
 
 
 def find_urls(text: str) -> list[str]:
@@ -125,7 +140,7 @@ def _urls_in(texts: Iterable[str]) -> Iterable[str]:
 
 
 def _is_clean_text(text: str) -> bool:
-    return bool(text) and text == text.strip() and _is_clean_signature(text) is not None
+    return bool(text) and text == text.strip() and _is_clean_signature(text)
 
 
 def _is_clean_url(text: str) -> bool:
@@ -139,14 +154,13 @@ def _is_clean_url(text: str) -> bool:
 
 
 def _counted(
-    kind: str, texts: Iterable[str], source: str, keep: Callable[[str], bool]
+    kind: str, texts: Iterable[str], source: str, keep: Optional[Callable[[str], bool]] = None
 ) -> list[Candidate]:
-    """One candidate per distinct kept text, in first-seen order, with its count."""
-    return [
-        _tuple_new(Candidate, (kind, text, source, count))
-        for text, count in Counter(texts).items()
-        if keep(text)
-    ]
+    """One candidate per distinct text, or per distinct kept one, in first-seen order, with its count."""
+    counts = Counter(texts).items()
+    if keep is not None:
+        counts = [(text, count) for text, count in counts if keep(text)]
+    return [_tuple_new(Candidate, (kind, text, source, count)) for text, count in counts]
 
 
 def package_of(class_name: str) -> Optional[str]:
@@ -156,19 +170,26 @@ def package_of(class_name: str) -> Optional[str]:
 
 
 def _api_texts(symbols: DexSymbols, whitelist: Optional[Whitelist]) -> Iterator[str]:
-    """``ApiSignature.render`` of every method_ids row whose class ``whitelist`` keeps, in
-    row order: a ``"<class: "`` per type, a ``"ret "`` and a ``"(params)>"`` per proto,
-    so a method costs one concatenation with its name."""
-    heads = ["<" + t + ": " for t in symbols.types]
+    """``ApiSignature.render`` of every method_ids row that is clean and whose class
+    ``whitelist`` keeps, in row order: a ``"<class: "`` per type, a ``"ret "`` and a
+    ``"(params)>"`` per proto, so a method costs one concatenation with its name.
+
+    A concatenation holds no control character exactly when none of its pieces does, so
+    each type, proto and string is checked once, and a row with an unclean piece is skipped
+    unrendered, as is a row of a class ``whitelist`` drops.
+    """
+    clean = _is_clean_signature
+    heads = ["<" + t + ": " if clean(t) else None for t in symbols.types]
     if whitelist is not None:
-        heads = [None if whitelist.drops_api_head(head.partition(":")[0]) else head for head in heads]
+        heads = [None if head is None or whitelist.drops_api_head(head.partition(":")[0]) else head for head in heads]
     rets = [ret + " " for ret, _ in symbols.protos]
     tails = ["(" + ",".join(params) + ")>" for _, params in symbols.protos]
-    names = symbols.strings
+    tails = [tail if clean(ret + tail) else None for ret, tail in zip(rets, tails)]
+    names = [name if clean(name) else None for name in symbols.strings]
     return (
-        f"{head}{rets[proto]}{names[name]}{tails[proto]}"
-        for cls, proto, name in zip(symbols.method_classes, symbols.method_protos, symbols.method_names)
-        if (head := heads[cls]) is not None
+        f"{head}{rets[proto]}{name}{tail}"
+        for cls, proto, string in zip(symbols.method_classes, symbols.method_protos, symbols.method_names)
+        if (head := heads[cls]) is not None and (tail := tails[proto]) is not None and (name := names[string]) is not None
     )
 
 
@@ -177,12 +198,13 @@ def candidates_from_symbols(
 ) -> list[Candidate]:
     """Candidates from one parsed .dex file: packages, API signatures, URL strings.
 
-    A method whose class ``whitelist`` drops is skipped before its text is built.
+    A method whose class ``whitelist`` drops, or whose signature would not be clean, is
+    skipped before its text is built.
     """
     packages = filter(None, map(package_of, symbols.class_names))
     return (
         _counted(CandidateKind.PACKAGE, packages, source, _is_clean_text)
-        + _counted(CandidateKind.API, _api_texts(symbols, whitelist), source, _is_clean_signature)
+        + _counted(CandidateKind.API, _api_texts(symbols, whitelist), source)
         + _counted(CandidateKind.HTTPS_REQUEST, _urls_in(symbols.strings), source, _is_clean_url)
     )
 
@@ -300,7 +322,8 @@ def extract_candidates(
     A missing .dex is a warning, not a failure: native and asset extraction
     still run. Unparseable .dex or .so entries are skipped with a warning.
     With a ``whitelist``, the methods of each class it drops are skipped
-    unrendered; ``apply_whitelist`` drops the rest.
+    unrendered and the set records it as its ``api_whitelist``, so that
+    ``apply_whitelist`` with an equal one decides only the Package candidates.
     """
     warnings: list[str] = []
     groups: list[list[Candidate]] = []
@@ -332,4 +355,5 @@ def extract_candidates(
         candidates=merge_candidates(groups),
         obfuscation=measure_obfuscation(defined_classes),
         warnings=warnings,
+        api_whitelist=whitelist,
     )

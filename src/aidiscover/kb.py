@@ -422,11 +422,14 @@ class KnowledgeBase(JsonlLog):
                     "skipped": self.skipped,
                 }) + "\n")
                 while piece := list(islice(rows, _SNAPSHOT_ROWS)):
-                    keys, verdicts, analyses, domains, tasks, models, created = zip(*piece)
-                    kinds, texts = zip(*keys)
+                    # A column at a time: zip(*piece) would hold one tracked iterator per row.
+                    keys, verdicts, analyses, domains, tasks, models, created = (
+                        list(map(itemgetter(k), piece)) for k in range(7)
+                    )
                     out.write(_encode([
-                        list(map(at, kinds)), texts, list(map(at, verdicts)), analyses, list(map(at, domains)),
-                        list(map(at, tasks)), list(map(at, models)), list(map(datetime.isoformat, created)),
+                        list(map(at, map(itemgetter(0), keys))), list(map(itemgetter(1), keys)), list(map(at, verdicts)),
+                        analyses, list(map(at, domains)), list(map(at, tasks)), list(map(at, models)),
+                        list(map(datetime.isoformat, created)),
                     ]) + "\n")
             os.replace(tmp, self.snapshot)
         except BaseException:

@@ -10,7 +10,7 @@ from datetime import datetime
 from json.encoder import encode_basestring
 from dataclasses import dataclass, fields
 from itertools import compress, repeat
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -190,14 +190,15 @@ _columns = attrgetter(*_VERDICT_KEYS)
 
 
 def _verdict_table(run: PipelineResult) -> VerdictTable:
-    # NonAI KB hits as columns straight from their candidates and records; the rows
-    # that are objects overwrite their placeholders.
-    n = len(run.candidates)
-    kind, text, source, occurrences = zip(*run.candidates) if n else ((),) * 4
-    _, verdict, analysis, domain, task, model_id, _ = map(list, zip(*run.records)) if n else ([],) * 7
-    is_ai = [v == VERDICT_AI for v in verdict]
-    rationale = list(map(reused_rationale, model_id))
-    provenance = [PROVENANCE_KB] * n
+    # NonAI KB hits as columns straight from their candidates and records, a column at a
+    # time: zip(*rows) would hold one iterator per row, each tracked by the collector. The
+    # rows that are objects overwrite their placeholders.
+    candidates, records = run.candidates, run.records
+    kind, text, source, occurrences = (list(map(itemgetter(k), candidates)) for k in range(4))
+    analysis, domain, task = (list(map(itemgetter(k), records)) for k in range(2, 5))
+    is_ai = [v == VERDICT_AI for v in map(itemgetter(1), records)]
+    rationale = list(map(reused_rationale, map(itemgetter(5), records)))
+    provenance = [PROVENANCE_KB] * len(candidates)
     for i, v in compress(enumerate(run.objects), run.objects):
         is_ai[i], analysis[i], rationale[i], provenance[i] = v.is_ai, v.analysis, v.rationale, v.provenance
         # An AI component whose labeling failed is reported under the fallback

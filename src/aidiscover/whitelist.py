@@ -90,22 +90,27 @@ def apply_whitelist(cand_set: CandidateSet, wl: Whitelist) -> CandidateSet:
     Idempotent; preserves candidate order, occurrences, and every candidate
     of other kinds. An API candidate is decided by its class, the text before
     its first ``:``, each distinct one once per call; a Package candidate by
-    itself. Both reuse the package decisions extraction made with ``wl``.
+    itself. Both reuse the package decisions extraction made with ``wl``. A
+    set whose ``api_whitelist`` equals ``wl`` keeps its API candidates as
+    they are: only its Package candidates are decided.
     """
-    drops_class = functools.cache(wl.drops_api_head)
-
-    # URL and model-asset candidates are never whitelisted away; the many API ones go first.
     api, package = CandidateKind.API, CandidateKind.PACKAGE
-    kept = [
-        c for c in cand_set.candidates
-        if not (
-            ":" in c.text and drops_class(c.text.partition(":")[0]) if c.kind == api
-            else c.kind == package and wl.matches_package(c.text)
-        )
-    ]
+    if cand_set.api_whitelist == wl:
+        kept = [c for c in cand_set.candidates if c.kind != package or not wl.matches_package(c.text)]
+    else:
+        drops_class = functools.cache(wl.drops_api_head)
+        # URL and model-asset candidates are never whitelisted away; the many API ones go first.
+        kept = [
+            c for c in cand_set.candidates
+            if not (
+                ":" in c.text and drops_class(c.text.partition(":")[0]) if c.kind == api
+                else c.kind == package and wl.matches_package(c.text)
+            )
+        ]
     return CandidateSet(
         app_id=cand_set.app_id,
         candidates=kept,
         obfuscation=cand_set.obfuscation,
         warnings=list(cand_set.warnings),
+        api_whitelist=wl,
     )

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import re
 import shutil
@@ -372,14 +373,23 @@ def test_non_model_asset_with_embedded_url_becomes_other():
 
 
 # Names built from what a signature or a cleanliness check could trip on:
-# ":", "<", ">", whitespace, control characters, dots and so empty segments.
-_hostile = st.text(alphabet=":<>. \t\n\x00\x1f\x7f\xa0aB", max_size=6)
+# ":", "<", ">", whitespace, control characters, dots and so empty segments,
+# and "\x85" and "\u2028", which the clean check accepts but str.isprintable() rejects.
+_hostile = st.text(alphabet=":<>. \t\n\x00\x1f\x7f\x85\xa0\u2028aB", max_size=6)
 
 
 @given(_hostile, _hostile, _hostile, st.lists(_hostile, max_size=2))
 def test_signature_clean_check_equals_the_text_rule(cls, ret, name, params):
     text = ApiSignature.render(MethodRef(cls, ret, name, params))
     assert bool(_is_clean_signature(text)) == _is_clean_text(text)
+
+
+@given(st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from(["\x00", "\x1f", "\x7f", "\x85", "\u2028"])))
+@example("a\x85")
+@example("\u2028")
+@example("é\x1f")
+def test_signature_clean_check_equals_its_regex(text):
+    assert _is_clean_signature(text) is (re.fullmatch(r"[^\x00-\x1f\x7f]*", text) is not None)
 
 
 def _reference_extraction(dexes):
@@ -457,6 +467,31 @@ def test_whitelist_before_rendering_equals_the_whitelist_after(data):
     # The skip drops exactly the API signatures the whitelist would: no more, and no fewer.
     apis = [c for c in skipped.candidates if c.kind == CandidateKind.API]
     assert apis == [c for c in filtered.candidates if c.kind == CandidateKind.API]
+
+
+@given(st.data())
+def test_the_second_pass_over_an_extracted_set_equals_the_full_pass(data):
+    names = data.draw(st.lists(_hostile.filter(bool), min_size=1, max_size=5, unique=True))
+    dexes = []
+    for source in ("classes.dex", "classes2.dex"):  # drawn from one pool, so classes repeat
+        builder = DexBuilder()
+        for cls in data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True)):
+            methods = st.tuples(st.sampled_from(["void", *names]), st.sampled_from(["go", *names]),
+                                st.lists(st.sampled_from(["int", *names]), max_size=2))
+            builder.add_class(cls, data.draw(st.lists(methods, max_size=3)))
+        for name in data.draw(st.lists(st.sampled_from(names), max_size=2)):
+            builder.add_string(f"https://a{name}.example/p")
+        dexes.append((source, builder.build()))
+    # Prefixes cut from about half of the names, which are also the packages' names.
+    prefixes = {data.draw(st.sampled_from(dotted_prefixes(n.lower()))) for n in names if data.draw(st.booleans())}
+    wl = Whitelist(prefixes=frozenset(prefixes - {""}) or frozenset({"a"}))
+    with tempfile.TemporaryDirectory() as tmp:
+        with open_apk(build_apk(Path(tmp) / "two.apk", dexes)) as archive:
+            extracted = extract_candidates(archive, "two", None, wl)
+    assert extracted.api_whitelist is wl
+    cleared = dataclasses.replace(extracted, api_whitelist=None)
+    second = data.draw(st.sampled_from([wl, Whitelist(prefixes=wl.prefixes)]))  # the same or an equal one
+    assert apply_whitelist(extracted, second) == apply_whitelist(cleared, second)
 
 
 def test_no_method_of_a_whitelisted_class_is_rendered(tmp_path, monkeypatch):
@@ -549,7 +584,7 @@ def _some_whitelist(data, symbols):
 # so that "La/b;" and "La.b;" both come up and render alike.
 _raw_texts = st.one_of(
     st.sampled_from(["La/b;", "La.b;", "La/b/C;", "[La.b;", "I", "V", "[[J", "La/\x01;", "Ljava/lang/X;", "run"]),
-    st.text(st.sampled_from([*"aB./;L[:<> ", "\x00", "\t", "\x1f", "\x7f", "é"]), max_size=6),
+    st.text(st.sampled_from([*"aB./;L[:<> ", "\x00", "\t", "\x1f", "\x7f", "\x85", "é", "\u2028"]), max_size=6),
 )
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import random
@@ -8,9 +9,10 @@ from enum import Enum, IntEnum
 from hypothesis import given, strategies as st
 
 from aidiscover import report as report_module
-from aidiscover.kb import KnowledgeBase, SummaryCache
-from aidiscover.pipeline import PROVENANCE_FRESH, PROVENANCE_KB, PipelineConfig
-from aidiscover.report import VerdictTable, analyze_app, read_report, render_json, write_report
+from aidiscover.candidates import Candidate, CandidateKind
+from aidiscover.kb import VERDICT_NON_AI, KbKey, KbRecord, KnowledgeBase, SummaryCache
+from aidiscover.pipeline import PROVENANCE_FRESH, PROVENANCE_KB, ComponentVerdict, PipelineConfig, PipelineResult
+from aidiscover.report import VerdictTable, _verdict_table, analyze_app, read_report, render_json, write_report
 from aidiscover.whitelist import load_whitelist
 
 from conftest import make_gateway
@@ -268,3 +270,25 @@ def test_in_memory_rows_and_the_verdicts_view_agree_with_the_written_report(tmp_
             assert [v.provenance for v in runs[-1].verdicts] == column
             provenances.setdefault(name, set()).update(column)
     assert PROVENANCE_FRESH in provenances["cold"] and provenances["warm"] == {PROVENANCE_KB}
+
+
+def test_a_verdict_table_of_many_rows_makes_no_garbage_for_the_collector():
+    # 5,000 NonAI KB hits and one fresh verdict in 100: building the columns must
+    # hold no object per row that the collector tracks, or generation 0 fills.
+    n = 5000
+    candidates = [Candidate(CandidateKind.API, f"<a.B{i}: void m()>", "classes.dex", 1) for i in range(n)]
+    records = [KbRecord(KbKey.make(c.kind, c.text), VERDICT_NON_AI, f"Analysis {i}", model_id="mock")
+               for i, c in enumerate(candidates)]
+    objects = [ComponentVerdict(c, False, "fresh") if i % 100 == 0 else None for i, c in enumerate(candidates)]
+    run = PipelineResult(objects, candidates=candidates, records=records)
+    thresholds = gc.get_threshold()
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    gc.set_threshold(100)
+    try:
+        table = _verdict_table(run)
+    finally:
+        gc.set_threshold(*thresholds)
+    assert gc.get_stats()[0]["collections"] == before
+    assert len(table) == n and table.analysis[:2] == ["fresh", "Analysis 1"]
+    assert table.provenance[:2] == [PROVENANCE_FRESH, PROVENANCE_KB]

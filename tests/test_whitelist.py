@@ -142,6 +142,26 @@ def test_apply_whitelist_after_extraction_decides_no_new_package(tmp_path):
     }
 
 
+def test_apply_whitelist_with_another_whitelist_decides_every_api_candidate(tmp_path, monkeypatch):
+    dex = DexBuilder()
+    for cls in ("java.util.List", "com.acme.Thing", "org.json.JSONObject"):
+        dex.add_class(cls, [("void", "go", [])])
+    with open_apk(build_apk(tmp_path / "one.apk", [("classes.dex", dex.build())])) as archive:
+        extracted = extract_candidates(archive, "one", None, parse_whitelist("java.\n"))
+    decided = []
+    drops_api_head = Whitelist.drops_api_head
+    monkeypatch.setattr(Whitelist, "drops_api_head", lambda wl, head: decided.append(head) or drops_api_head(wl, head))
+    same = apply_whitelist(extracted, parse_whitelist("java.\n"))  # equal, so extraction's decisions stand
+    assert decided == []
+    other = apply_whitelist(extracted, parse_whitelist("com.acme.\n"))
+    assert sorted(decided) == ["<com.acme.Thing", "<org.json.JSONObject"]
+    assert [c.text for c in same.candidates if c.kind == CandidateKind.API] == [
+        "<com.acme.Thing: void go()>", "<org.json.JSONObject: void go()>"
+    ]
+    assert [c.text for c in other.candidates if c.kind == CandidateKind.API] == ["<org.json.JSONObject: void go()>"]
+    assert {c.text for c in other.candidates if c.kind == CandidateKind.PACKAGE} == {"java.util", "java.lang", "org.json"}
+
+
 def test_apply_whitelist_drops_and_keeps():
     wl = parse_whitelist("java.\nandroid.\n")
     cands = make_set(
