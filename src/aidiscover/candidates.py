@@ -9,10 +9,14 @@ from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 from urllib.parse import urlsplit
 
 from .apk import ApkArchive, EntryKind
@@ -112,9 +116,82 @@ class ObfuscationStats:
     total_classes: int = 0
 
 
+class CandidateColumns(Sequence):
+    """An app's candidates as four parallel columns, read as a sequence of ``Candidate``
+    rows; a row is built only when it is read, as ``DexSymbols.methods`` does.
+
+    ``lower_rows`` are rows whose KB text, ``normalize_text(text)``, is ``text.lower()``.
+    Extraction proves it for its API rows when every one of their texts is ASCII and holds
+    only its two separator spaces, each single.
+    """
+
+    __slots__ = ("kind", "text", "source", "occurrences", "lower_rows")
+
+    def __init__(
+        self, kind: list[str], text: list[str], source: list[str], occurrences: list[int], lower_rows: range = range(0)
+    ):
+        self.kind, self.text, self.source, self.occurrences = kind, text, source, occurrences
+        self.lower_rows = lower_rows
+
+    @classmethod
+    def of(cls, candidates: Iterable[Candidate]) -> "CandidateColumns":
+        rows = list(candidates)
+        return cls(*(list(map(itemgetter(k), rows)) for k in range(4)))
+
+    def __len__(self) -> int:
+        return len(self.text)
+
+    def __getitem__(self, i: int) -> Candidate:
+        return _tuple_new(Candidate, (self.kind[i], self.text[i], self.source[i], self.occurrences[i]))
+
+    def __iter__(self) -> Iterator[Candidate]:
+        return map(_tuple_new, repeat(Candidate), zip(self.kind, self.text, self.source, self.occurrences))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, CandidateColumns):
+            return (self.kind, self.text, self.source, self.occurrences) == (
+                other.kind, other.text, other.source, other.occurrences
+            )
+        if isinstance(other, Sequence):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CandidateColumns({list(self)!r})"
+
+    def without(self, dropped: list[int]) -> "CandidateColumns":
+        """These rows but the ones at ``dropped``, ascending positions; the rows after
+        the last of those are copied as a slice."""
+        end = dropped[-1] + 1 if dropped else 0
+        kept = [True] * end
+        for i in dropped:
+            kept[i] = False
+        lower = self.lower_rows
+        columns = (self.kind, self.text, self.source, self.occurrences)
+        return CandidateColumns(
+            *(list(compress(column, kept)) + column[end:] for column in columns),
+            range(lower.start - bisect_left(dropped, lower.start), lower.stop - bisect_left(dropped, lower.stop)),
+        )
+
+
+def positions(values: list, value) -> list[int]:
+    """The ascending positions of ``value`` in ``values``, found by the list's own search:
+    a Python step per match, none per other item."""
+    found, i = [], -1
+    for _ in range(values.count(value)):
+        i = values.index(value, i + 1)
+        found.append(i)
+    return found
+
+
 @dataclass
 class CandidateSet:
     """All candidates of one app, deduplicated and deterministically ordered.
+
+    ``candidates`` are columns (``CandidateColumns``); a sequence of ``Candidate``
+    passed in is turned into them.
 
     ``api_whitelist`` is a whitelist that already decided every API candidate: the one
     ``extract_candidates`` skipped classes by, or the one ``apply_whitelist`` applied. It
@@ -123,10 +200,14 @@ class CandidateSet:
     """
 
     app_id: str
-    candidates: list[Candidate] = field(default_factory=list)
+    candidates: Sequence[Candidate] = ()
     obfuscation: ObfuscationStats = field(default_factory=ObfuscationStats)
     warnings: list[str] = field(default_factory=list)
     api_whitelist: Optional[Whitelist] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.candidates, CandidateColumns):
+            self.candidates = CandidateColumns.of(self.candidates)
 
 
 def find_urls(text: str) -> list[str]:
@@ -156,7 +237,8 @@ def _is_clean_url(text: str) -> bool:
 def _counted(
     kind: str, texts: Iterable[str], source: str, keep: Optional[Callable[[str], bool]] = None
 ) -> list[Candidate]:
-    """One candidate per distinct text, or per distinct kept one, in first-seen order, with its count."""
+    """One candidate per distinct text, or per distinct kept one, in first-seen order, with its
+    count: the per-entry rule the tests render their reference candidates by."""
     counts = Counter(texts).items()
     if keep is not None:
         counts = [(text, count) for text, count in counts if keep(text)]
@@ -195,30 +277,32 @@ def _api_texts(symbols: DexSymbols, whitelist: Optional[Whitelist]) -> Iterator[
 
 def candidates_from_symbols(
     symbols: DexSymbols, source: str, whitelist: Optional[Whitelist] = None
-) -> list[Candidate]:
-    """Candidates from one parsed .dex file: packages, API signatures, URL strings.
+) -> CandidateColumns:
+    """Candidates from one parsed .dex file: packages, API signatures, URL strings,
+    each kind's rows in first-seen order. ``extract_candidates`` is the same tally
+    over every entry of an app, ordered by text.
 
     A method whose class ``whitelist`` drops, or whose signature would not be clean, is
     skipped before its text is built.
     """
-    packages = filter(None, map(package_of, symbols.class_names))
-    return (
-        _counted(CandidateKind.PACKAGE, packages, source, _is_clean_text)
-        + _counted(CandidateKind.API, _api_texts(symbols, whitelist), source)
-        + _counted(CandidateKind.HTTPS_REQUEST, _urls_in(symbols.strings), source, _is_clean_url)
-    )
+    return _Tally(extracted=True).add_dex(symbols, source, whitelist).columns(ordered=False)
 
 
-def extract_native_candidates(data: bytes, source: str = "") -> list[Candidate]:
-    """Endpoint URL candidates from one ELF shared object.
+def _native_urls(data: bytes, source: str) -> Iterator[str]:
+    scan = scan_elf_strings(data)
+    for warning in scan.warnings:
+        log.warning("%s: %s", source or "<elf>", warning)
+    return _urls_in(scan.runs)
+
+
+def extract_native_candidates(data: bytes, source: str = "") -> CandidateColumns:
+    """Endpoint URL candidates from one ELF shared object, in first-seen order.
 
     Raises BadElfMagic for non-ELF input. Corrupt sections only produce
     warnings inside the scan, never a failure.
     """
-    scan = scan_elf_strings(data)
-    for warning in scan.warnings:
-        log.warning("%s: %s", source or "<elf>", warning)
-    return _counted(CandidateKind.HTTPS_REQUEST, _urls_in(scan.runs), source, _is_clean_url)
+    urls = _native_urls(data, source)
+    return _Tally(extracted=True).add(CandidateKind.HTTPS_REQUEST, urls, source).columns(ordered=False)
 
 
 def load_model_suffixes(path: Union[str, Path, None] = None) -> tuple[str, ...]:
@@ -296,19 +380,89 @@ def measure_obfuscation(class_names: Iterable[str]) -> ObfuscationStats:
     )
 
 
-def merge_candidates(groups: Iterable[list[Candidate]]) -> list[Candidate]:
+def _lowercase_keys(signatures: list[str]) -> bool:
+    """Whether ``normalize_text(text) == text.lower()`` for each of these rendered, clean
+    signatures: so when each is ASCII and holds only its two separator spaces, each single.
+    Clean ASCII text holds no whitespace but the space, and a signature starts with ``<``
+    and ends with ``>``, so it then splits into exactly the words its spaces part."""
+    return (
+        all(map(str.isascii, signatures))
+        and sum(map(str.count, signatures, repeat(" "))) == 2 * len(signatures)
+        and not any(map(str.__contains__, signatures, repeat("  ")))
+    )
+
+
+# What extraction keeps of the texts it counts; other kinds are clean as extracted.
+_KEEP = {CandidateKind.PACKAGE: _is_clean_text, CandidateKind.HTTPS_REQUEST: _is_clean_url}
+
+
+class _Tally:
+    """Texts counted per kind, one ``Counter`` per kind in first-seen order, with the
+    source of the group that first held each text: ``CandidateColumns`` before ordering.
+
+    An ``extracted`` tally is fed by the extractors: it keeps a Package or URL text only
+    when clean, and its API texts are rendered signatures.
+    """
+
+    def __init__(self, extracted: bool):
+        self.extracted = extracted
+        self.counts: dict[str, Counter] = {kind: Counter() for kind in CandidateKind.ALL}
+        # Per kind, the source of each of its texts, in the Counter's order.
+        self.sources: dict[str, list[str]] = {kind: [] for kind in CandidateKind.ALL}
+
+    def add(self, kind: str, texts: Union[Iterable[str], Mapping[str, int]], source: str) -> "_Tally":
+        """Count ``texts`` (or add a mapping's counts) from one group."""
+        counts = self.counts.setdefault(kind, Counter())
+        known = len(counts)
+        counts.update(texts)
+        self.sources.setdefault(kind, []).extend(repeat(source, len(counts) - known))
+        return self
+
+    def add_dex(self, symbols: DexSymbols, source: str, whitelist: Optional[Whitelist]) -> "_Tally":
+        self.add(CandidateKind.PACKAGE, filter(None, map(package_of, symbols.class_names)), source)
+        self.add(CandidateKind.API, _api_texts(symbols, whitelist), source)
+        return self.add(CandidateKind.HTTPS_REQUEST, _urls_in(symbols.strings), source)
+
+    def add_rows(self, candidates: Iterable[Candidate]) -> "_Tally":
+        for cand in candidates:
+            self.add(cand.kind, {cand.text: cand.occurrences}, cand.source)
+        return self
+
+    def columns(self, ordered: bool) -> CandidateColumns:
+        """Every kind's rows, kinds in ``CandidateKind.ALL`` order and then as first met;
+        within a kind, by text when ``ordered``, else in first-seen order."""
+        kinds: list[str] = []
+        texts: list[str] = []
+        sources: list[str] = []
+        occurrences: list[int] = []
+        lower_rows = range(0)
+        for kind, counts in self.counts.items():
+            block, block_sources = list(counts), self.sources[kind]
+            keep = _KEEP.get(kind) if self.extracted else None
+            if keep is not None:
+                kept = list(map(keep, block))
+                block, block_sources = list(compress(block, kept)), list(compress(block_sources, kept))
+            if ordered:
+                first_source = dict(zip(block, block_sources))
+                block.sort()
+                block_sources = list(map(first_source.__getitem__, block))
+            if kind == CandidateKind.API and self.extracted and _lowercase_keys(block):
+                lower_rows = range(len(texts), len(texts) + len(block))
+            kinds += repeat(kind, len(block))
+            texts += block
+            sources += block_sources
+            occurrences += map(counts.__getitem__, block)
+        return CandidateColumns(kinds, texts, sources, occurrences, lower_rows)
+
+
+def merge_candidates(groups: Iterable[Iterable[Candidate]]) -> CandidateColumns:
     """Union per-entry candidate lists: sum occurrences, keep first source,
     order by kind (``CandidateKind.ALL`` order) and then by text. No input is
-    mutated: a text seen once keeps its object, a repeated one gets a new one."""
-    by_kind: dict[str, dict[str, Candidate]] = {kind: {} for kind in CandidateKind.ALL}
+    mutated."""
+    tally = _Tally(extracted=False)
     for group in groups:
-        for cand in group:
-            merged = by_kind.setdefault(cand.kind, {})
-            prior = merged.setdefault(cand.text, cand)
-            if prior is not cand:
-                fields = (cand.kind, cand.text, prior.source, prior.occurrences + cand.occurrences)
-                merged[cand.text] = _tuple_new(Candidate, fields)
-    return [merged[text] for merged in by_kind.values() for text in sorted(merged)]
+        tally.add_rows(group)
+    return tally.columns(ordered=True)
 
 
 def extract_candidates(
@@ -326,7 +480,7 @@ def extract_candidates(
     ``apply_whitelist`` with an equal one decides only the Package candidates.
     """
     warnings: list[str] = []
-    groups: list[list[Candidate]] = []
+    tally = _Tally(extracted=True)
     defined_classes: list[str] = []
 
     dex_entries = archive.entries_of_kind(EntryKind.DEX_FILE)
@@ -338,21 +492,23 @@ def extract_candidates(
         except Exception as exc:  # noqa: BLE001 - per-entry isolation
             warnings.append(f"{entry.name}: dex parse failed ({exc})")
             continue
-        groups.append(candidates_from_symbols(symbols, entry.name, whitelist))
+        tally.add_dex(symbols, entry.name, whitelist)
         defined_classes.extend(symbols.defined_class_names)
 
     for entry in archive.entries_of_kind(EntryKind.NATIVE_LIB):
         try:
-            groups.append(extract_native_candidates(archive.read_bytes(entry), entry.name))
+            urls = _native_urls(archive.read_bytes(entry), entry.name)
         except Exception as exc:  # noqa: BLE001
             warnings.append(f"{entry.name}: native scan failed ({exc})")
+            continue
+        tally.add(CandidateKind.HTTPS_REQUEST, urls, entry.name)
 
     asset_names = [e.name for e in archive.entries_of_kind(EntryKind.ASSET)]
-    groups.append(extract_asset_candidates(asset_names, model_suffixes))
+    tally.add_rows(extract_asset_candidates(asset_names, model_suffixes))
 
     return CandidateSet(
         app_id=app_id,
-        candidates=merge_candidates(groups),
+        candidates=tally.columns(ordered=True),
         obfuscation=measure_obfuscation(defined_classes),
         warnings=warnings,
         api_whitelist=whitelist,

@@ -42,6 +42,10 @@ _OFF_CLASS_DEFS = 0x60
 
 ENDIAN_CONSTANT = 0x12345678
 
+# The dex format and ART's verifier allow at most 255 array dimensions in a type.
+MAX_ARRAY_DIMENSIONS = 255
+_TOO_DEEP = "[" * (MAX_ARRAY_DIMENSIONS + 1)
+
 _tuple_new = tuple.__new__
 
 _PRIMITIVES = {
@@ -178,6 +182,7 @@ def parse_dex(data: bytes) -> DexSymbols:
         BadDexMagic: no DEX magic.
         TruncatedDex: declared file size does not match, or a table offset or
             string offset points outside the file.
+        DexError: a type descriptor has more than 255 array dimensions.
     """
     if not _DEX_MAGIC.match(data):
         raise BadDexMagic("missing DEX magic")
@@ -216,7 +221,10 @@ def parse_dex(data: bytes) -> DexSymbols:
     for i, (str_idx,) in enumerate(type_ids):
         if str_idx >= len(strings):
             raise TruncatedDex(f"type_id {i} string index {str_idx} out of range")
-        descriptors.append(strings[str_idx])
+        descriptor = strings[str_idx]
+        if descriptor.startswith(_TOO_DEEP):
+            raise DexError(f"type_id {i} has more than {MAX_ARRAY_DIMENSIONS} array dimensions")
+        descriptors.append(descriptor)
 
     # Each type in source form once, indexed by every method and proto row.
     sources = [descriptor_to_source(d) for d in descriptors]

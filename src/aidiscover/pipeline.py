@@ -10,16 +10,20 @@ from __future__ import annotations
 
 import functools
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, compress, count, islice, repeat
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .candidates import Candidate, CandidateSet
+from .candidates import Candidate, CandidateColumns, CandidateSet, positions
 from .gateway import BackendUnavailable, ItemResult, LlmGateway, SamplingConfig, TaskId
-from .kb import VERDICT_AI, VERDICT_NON_AI, AppTurn, KbKey, KbRecord, KnowledgeBase
+from .kb import VERDICT_AI, VERDICT_NON_AI, AppTurn, KbKey, KbRecord, KnowledgeBase, normalize_text
 
 log = logging.getLogger(__name__)
+_tuple_new = tuple.__new__
 
 FAILURE_ANALYSIS = "[analysis unavailable: backend item failure]"
 FAILURE_RATIONALE = "[detection unavailable: backend item failure; defaulted to non-AI]"
@@ -74,17 +78,27 @@ class ComponentVerdict:
         return self.key
 
 
-# The record of a row that is not a NonAI KB hit.
+# The record of a row that is not a KB hit kept as its record.
 _NO_RECORD = KbRecord(KbKey("", ""), VERDICT_NON_AI)
+_verdict_of, _labels_of = itemgetter(1), itemgetter(3, 4)
+
+
+def _ai_hits(records: list[KbRecord]) -> tuple[list[int], Counter]:
+    """The rows whose record is AI, and those records' (domain, task) pairs, counted."""
+    rows = list(compress(count(), map(VERDICT_AI.__eq__, map(_verdict_of, records))))
+    return rows, Counter(map(_labels_of, map(records.__getitem__, rows)))
 
 
 @dataclass
 class PipelineResult:
     """One verdict per candidate, in candidate order, plus degradation flags.
 
-    A NonAI KB hit stays the record that answered it, ``records[i]``, with no
-    object: it is never fresh, labeled or written. Every other row is a
-    ComponentVerdict, ``objects[i]``; given verdicts alone, every row is one.
+    A KB hit whose record is NonAI, or AI with both labels, stays the record
+    that answered it, ``records[i]``, with no object: it is never fresh or
+    written, and needs no labeling. Every other row is a ComponentVerdict,
+    ``objects[i]``, over a NonAI placeholder record; given verdicts alone,
+    every row is one. ``ai_hits`` are the rows of the AI records, and
+    ``ai_hit_labels`` counts their (domain, task) pairs.
     """
 
     objects: list[Optional[ComponentVerdict]]
@@ -92,11 +106,17 @@ class PipelineResult:
     warnings: list[str] = field(default_factory=list)
     candidates: Optional[Sequence[Candidate]] = None
     records: Optional[Sequence[KbRecord]] = None
+    ai_hits: Optional[list[int]] = None
+    ai_hit_labels: Optional[Counter] = None
 
     def __post_init__(self):
         if self.records is None:
             self.candidates = [v.candidate for v in self.objects]
             self.records = [_NO_RECORD] * len(self.objects)
+        if not isinstance(self.candidates, CandidateColumns):
+            self.candidates = CandidateColumns.of(self.candidates)
+        if self.ai_hits is None:
+            self.ai_hits, self.ai_hit_labels = _ai_hits(self.records)
 
     @functools.cached_property
     def verdicts(self) -> tuple[ComponentVerdict, ...]:
@@ -105,6 +125,20 @@ class PipelineResult:
             verdict or _reused(candidate, record, None)
             for verdict, candidate, record in zip(self.objects, self.candidates, self.records)
         )
+
+    def ai_objects(self) -> list[ComponentVerdict]:
+        """The AI verdicts that are objects, in candidate order."""
+        return [v for v in filter(None, self.objects) if v.is_ai]
+
+    def ai_rows(self) -> list[int]:
+        """Every AI row, in candidate order."""
+        objects = self.objects
+        return sorted(chain(self.ai_hits, (i for i in compress(count(), objects) if objects[i].is_ai)))
+
+    def ai_verdicts(self) -> list[ComponentVerdict]:
+        """Every AI row as a verdict, in candidate order; a KB hit's is built here."""
+        objects, candidates, records = self.objects, self.candidates, self.records
+        return [objects[i] or _reused(candidates[i], records[i], None) for i in self.ai_rows()]
 
 
 def component_line(text: str, analysis: Optional[str]) -> str:
@@ -148,24 +182,31 @@ def run_pipeline(
     """
     turn = turn or AppTurn.alone()
     candidates = cand_set.candidates
-    records: list[KbRecord] = [_NO_RECORD] * len(candidates)
+    # One lookup per row, each key built as it is read; a row gets a Python step of its
+    # own below only when it is a miss or an AI hit without both labels.
+    records = list(map(kb.lookup, _keys(candidates)))
+    misses = positions(records, None)
+    for i in misses:
+        records[i] = _NO_RECORD
+    ai_hits, ai_hit_labels = _ai_hits(records)
+    # An AI hit that lacks a label goes on as a verdict, to be labeled.
+    unlabeled = [] if all(map(all, ai_hit_labels)) else [i for i in ai_hits if not all(_labels_of(records[i]))]
     objects: list[Optional[ComponentVerdict]] = [None] * len(candidates)
     # key -> (record seen by the lookup, indexes of its verdicts)
     pending: dict[KbKey, tuple[Optional[KbRecord], list[int]]] = {}
-    for i, candidate in enumerate(candidates):
+    for i in sorted(misses + unlabeled):
+        candidate, record = candidates[i], records[i]
         key = KbKey.make(candidate.kind, candidate.text)
-        record = kb.lookup(key)
-        if record is not None and record.verdict != VERDICT_AI:
-            records[i] = record
-            continue
-        if record is None:
+        if record is _NO_RECORD:
             # The conservative verdict stands until this run's Detect call returns.
             objects[i] = ComponentVerdict(candidate, is_ai=False, rationale=FAILURE_RATIONALE, key=key)
+            record = None
         else:
             objects[i] = _reused(candidate, record, key)
-            if record.domain and record.task:
-                continue
+            records[i] = _NO_RECORD
         pending.setdefault(key, (record, []))[1].append(i)
+    if unlabeled:
+        ai_hits, ai_hit_labels = _ai_hits(records)
 
     warnings: list[str] = []
 
@@ -194,7 +235,19 @@ def run_pipeline(
         for holder in set(earlier.values()):
             holder.wait_committed()
         settle(list(earlier))
-    return PipelineResult(objects, bool(warnings), warnings, candidates, records)
+    return PipelineResult(objects, bool(warnings), warnings, candidates, records, ai_hits, ai_hit_labels)
+
+
+def _keys(candidates: CandidateColumns) -> Iterator[KbKey]:
+    """``KbKey.make(kind, text)`` of every row, in order: ``text.lower()`` for the rows
+    where that is the normalized text, ``normalize_text`` for the rest."""
+    texts, lower = candidates.text, candidates.lower_rows
+    normalized = chain(
+        map(normalize_text, islice(texts, lower.start)),
+        map(str.lower, islice(texts, lower.start, lower.stop)),
+        map(normalize_text, islice(texts, lower.stop, None)),
+    )
+    return map(_tuple_new, repeat(KbKey), zip(candidates.kind, normalized))
 
 
 # One string per model, not one per KB hit.

@@ -17,10 +17,9 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 from .apk import open_apk
 from .candidates import CandidateSet, extract_candidates
 from .gateway import LlmGateway
-from .kb import VERDICT_AI, AppTurn, KnowledgeBase, SummaryCache, utc_now
+from .kb import VERDICT_AI, VERDICT_NON_AI, AppTurn, KnowledgeBase, SummaryCache, utc_now
 from .pipeline import (
     PROVENANCE_KB,
-    ComponentVerdict,
     PipelineConfig,
     PipelineResult,
     is_ai_app,
@@ -45,39 +44,43 @@ log = logging.getLogger(__name__)
 REPORT_SCHEMA_VERSION = 1
 
 
-def _summary_digest(app_id: str, ai_verdicts: Sequence[ComponentVerdict], audience: str) -> str:
-    payload = {
-        "app_id": app_id,
-        "audience": audience,
-        "items": sorted(
-            (v.candidate.kind, v.candidate.text, v.analysis or "", v.candidate.occurrences)
-            for v in ai_verdicts
-        ),
-    }
+def _summary_digest(app_id: str, run: PipelineResult, audience: str) -> str:
+    cands, hits = run.candidates, run.ai_hits
+    analyses = list(map(itemgetter(2), map(run.records.__getitem__, hits)))
+    if None in analyses:  # an AI record holds an analysis, unless its snapshot was edited
+        analyses = [analysis or "" for analysis in analyses]
+    items = list(zip(
+        map(cands.kind.__getitem__, hits), map(cands.text.__getitem__, hits), analyses,
+        map(cands.occurrences.__getitem__, hits),
+    ))
+    items += ((v.candidate.kind, v.candidate.text, v.analysis or "", v.candidate.occurrences) for v in run.ai_objects())
+    payload = {"app_id": app_id, "audience": audience, "items": sorted(items)}
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
 def summarize_with_cache(
     app_id: str,
-    ai_verdicts: Sequence[ComponentVerdict],
+    run: PipelineResult,
     gateway: LlmGateway,
     cache: Optional[SummaryCache],
     audience: str,
 ) -> tuple[AiServiceReport, Optional[str]]:
-    """summarize_app with a digest-keyed reuse cache.
+    """summarize_app of the run's AI rows, with a digest-keyed reuse cache.
 
     Returns the report and the digest to store it under, or None when there
     is nothing new to cache: a hit, no cache, no AI component, or a failure.
+    Only a miss builds the AI rows' verdicts, in candidate order.
     """
-    digest = _summary_digest(app_id, ai_verdicts, audience)
-    if cache is not None and ai_verdicts:
+    digest = _summary_digest(app_id, run, audience)
+    rows = run.ai_rows()
+    if cache is not None and rows:
         hit = cache.get(digest)
         if hit is not None:
-            kind_counts = dict(Counter(v.candidate.kind for v in ai_verdicts))
+            kind_counts = dict(Counter(map(run.candidates.kind.__getitem__, rows)))
             return AiServiceReport(app_id, hit["summary"], list(hit["capabilities"]), kind_counts), None
-    report = summarize_app(app_id, ai_verdicts, gateway)
-    if cache is None or not ai_verdicts or report.degraded:
+    report = summarize_app(app_id, run.ai_verdicts(), gateway)
+    if cache is None or not rows or report.degraded:
         return report, None
     return report, digest
 
@@ -115,10 +118,11 @@ def analyze_app(
         filtered = apply_whitelist(cand_set, whitelist)
 
         run = run_pipeline(filtered, cfg, kb, gateway, turn)
-        ai_verdicts = [v for v in filter(None, run.objects) if v.is_ai]
-
-        labels = classify_components(ai_verdicts, gateway, cfg.batch_size)
-        service, digest = summarize_with_cache(app_id, ai_verdicts, gateway, summary_cache, cfg.audience)
+        # The AI KB hits that carry both labels stay records: labeled once per distinct pair.
+        labels = classify_components(run.ai_objects(), gateway, cfg.batch_size)
+        for pair, hits in run.ai_hit_labels.items():
+            labels += repeat(label_of(*pair), hits)
+        service, digest = summarize_with_cache(app_id, run, gateway, summary_cache, cfg.audience)
 
         def write() -> None:
             write_back(run, kb, gateway.model_id)
@@ -146,7 +150,7 @@ def build_report(
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
         "app_id": service.app_id,
-        "is_ai_app": is_ai_app(filter(None, run.objects)),
+        "is_ai_app": bool(run.ai_hits) or is_ai_app(filter(None, run.objects)),
         "verdicts": _verdict_table(run),
         "summary": service.summary,
         "capabilities": service.capabilities,
@@ -189,23 +193,43 @@ _VERDICT_KEYS = tuple(f.name for f in fields(VerdictTable))
 _columns = attrgetter(*_VERDICT_KEYS)
 
 
+class _Parts(dict):
+    """A record's (verdict, label part) to the part it is reported with: an AI hit's is
+    label_of's. A NonAI record's part stands as it is; it is None unless the KB snapshot
+    the record came from was edited."""
+
+    def __missing__(self, verdict_part):
+        return verdict_part[1]
+
+
 def _verdict_table(run: PipelineResult) -> VerdictTable:
-    # NonAI KB hits as columns straight from their candidates and records, a column at a
-    # time: zip(*rows) would hold one iterator per row, each tracked by the collector. The
-    # rows that are objects overwrite their placeholders.
+    # KB hits as columns straight from their candidates and records, a column at a time:
+    # zip(*rows) would hold one iterator per row, each tracked by the collector. An AI
+    # hit's labels are label_of's, through one map per part, since label_of of a labeled
+    # pair normalizes each part alone; label_of runs once per distinct pair. The rows that
+    # are objects overwrite their placeholders.
     candidates, records = run.candidates, run.records
-    kind, text, source, occurrences = (list(map(itemgetter(k), candidates)) for k in range(4))
-    analysis, domain, task = (list(map(itemgetter(k), records)) for k in range(2, 5))
-    is_ai = [v == VERDICT_AI for v in map(itemgetter(1), records)]
+    verdicts = list(map(itemgetter(1), records))
+    domains, tasks = _Parts({(VERDICT_NON_AI, None): None}), _Parts({(VERDICT_NON_AI, None): None})
+    for domain, task in run.ai_hit_labels:
+        label = label_of(domain, task)
+        domains[VERDICT_AI, domain], tasks[VERDICT_AI, task] = label.domain.value, label.task
+    analysis = list(map(itemgetter(2), records))
+    domain = list(map(domains.__getitem__, zip(verdicts, map(itemgetter(3), records))))
+    task = list(map(tasks.__getitem__, zip(verdicts, map(itemgetter(4), records))))
+    is_ai = list(map(VERDICT_AI.__eq__, verdicts))
     rationale = list(map(reused_rationale, map(itemgetter(5), records)))
-    provenance = [PROVENANCE_KB] * len(candidates)
+    provenance = [PROVENANCE_KB] * len(records)
     for i, v in compress(enumerate(run.objects), run.objects):
         is_ai[i], analysis[i], rationale[i], provenance[i] = v.is_ai, v.analysis, v.rationale, v.provenance
         # An AI component whose labeling failed is reported under the fallback
         # label, which the verdict itself does not carry (see classify_components).
         unlabeled = v.is_ai and not (v.domain and v.task)
         domain[i], task[i] = (UNCLASSIFIED.domain.value, UNCLASSIFIED.task) if unlabeled else (v.domain, v.task)
-    return VerdictTable(analysis, domain, is_ai, kind, occurrences, provenance, rationale, source, task, text)
+    return VerdictTable(
+        analysis, domain, is_ai, candidates.kind, candidates.occurrences, provenance, rationale,
+        candidates.source, task, candidates.text,
+    )
 
 
 def render_report_text(report: dict) -> str:

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from itertools import count
 from pathlib import Path
 from typing import Union
 
-from .candidates import Candidate, CandidateKind, CandidateSet, dotted_prefixes
+from .candidates import CandidateKind, CandidateSet, dotted_prefixes, positions
 from .listfile import parse_list, read_list
 
 
@@ -92,24 +93,24 @@ def apply_whitelist(cand_set: CandidateSet, wl: Whitelist) -> CandidateSet:
     its first ``:``, each distinct one once per call; a Package candidate by
     itself. Both reuse the package decisions extraction made with ``wl``. A
     set whose ``api_whitelist`` equals ``wl`` keeps its API candidates as
-    they are: only its Package candidates are decided.
+    they are: only its Package rows are decided.
     """
+    cands = cand_set.candidates
+    kinds, texts = cands.kind, cands.text
     api, package = CandidateKind.API, CandidateKind.PACKAGE
     if cand_set.api_whitelist == wl:
-        kept = [c for c in cand_set.candidates if c.kind != package or not wl.matches_package(c.text)]
+        dropped = [i for i in positions(kinds, package) if wl.matches_package(texts[i])]
     else:
         drops_class = functools.cache(wl.drops_api_head)
         # URL and model-asset candidates are never whitelisted away; the many API ones go first.
-        kept = [
-            c for c in cand_set.candidates
-            if not (
-                ":" in c.text and drops_class(c.text.partition(":")[0]) if c.kind == api
-                else c.kind == package and wl.matches_package(c.text)
-            )
+        dropped = [
+            i for i, kind, text in zip(count(), kinds, texts)
+            if (":" in text and drops_class(text.partition(":")[0]) if kind == api
+                else kind == package and wl.matches_package(text))
         ]
     return CandidateSet(
         app_id=cand_set.app_id,
-        candidates=kept,
+        candidates=cands.without(dropped),
         obfuscation=cand_set.obfuscation,
         warnings=list(cand_set.warnings),
         api_whitelist=wl,

@@ -34,10 +34,12 @@ from aidiscover.candidates import (
     package_of,
 )
 from aidiscover.dex import MethodRef, TruncatedDex, parse_dex
+from aidiscover.kb import VERDICT_NON_AI, KbKey, KbRecord, KnowledgeBase
+from aidiscover.pipeline import PipelineConfig, run_pipeline
 from aidiscover.native import BadElfMagic, ElfScan, scan_elf_strings
 from aidiscover.whitelist import Whitelist, apply_whitelist, parse_whitelist
 
-from conftest import MUTATIONS, OPENAI_BASE_URL, OPENAI_CHAT_URL, golden_dex1, golden_elf, mutate
+from conftest import MUTATIONS, OPENAI_BASE_URL, OPENAI_CHAT_URL, golden_dex1, golden_elf, make_gateway, mutate
 from helpers import DexBuilder, _mutf8, _uleb128, build_apk, build_elf32_msb, build_elf64
 
 
@@ -375,7 +377,12 @@ def test_non_model_asset_with_embedded_url_becomes_other():
 # Names built from what a signature or a cleanliness check could trip on:
 # ":", "<", ">", whitespace, control characters, dots and so empty segments,
 # and "\x85" and "\u2028", which the clean check accepts but str.isprintable() rejects.
-_hostile = st.text(alphabet=":<>. \t\n\x00\x1f\x7f\x85\xa0\u2028aB", max_size=6)
+# What a KB key's lowercase shortcut could trip on: a final sigma, "İ", whose
+# lowercase is longer, the ideographic space, which is whitespace beyond ASCII,
+# and two adjacent spaces.
+_hostile = st.lists(
+    st.sampled_from([*":<>. \t\n\x00\x1f\x7f\x85\xa0\u2028aB", "Σ", "İ", "\u3000", "  "]), max_size=6
+).map("".join)
 
 
 @given(_hostile, _hostile, _hostile, st.lists(_hostile, max_size=2))
@@ -626,3 +633,47 @@ def test_candidates_from_built_dex_equal_the_rendered_reference(data):
     symbols = parse_dex(builder.build())
     wl = _some_whitelist(data, symbols)
     assert candidates_from_symbols(symbols, "classes.dex", wl) == _reference_candidates(symbols, "classes.dex", wl)
+
+
+def _merged_reference(groups):
+    """Per-entry reference candidates merged by the reference rules: occurrences
+    summed, the first source kept, rows by kind and then by text."""
+    merged = {kind: {} for kind in CandidateKind.ALL}
+    for group in groups:
+        for cand in group:
+            first_source, prior = merged[cand.kind].get(cand.text, (cand.source, 0))
+            merged[cand.kind][cand.text] = (first_source, prior + cand.occurrences)
+    return [Candidate(kind, text, *merged[kind][text]) for kind in merged for text in sorted(merged[kind])]
+
+
+@given(st.data())
+def test_two_dex_columns_equal_the_rendered_reference_and_look_up_made_keys(data):
+    names = data.draw(st.lists(_hostile.filter(bool), min_size=1, max_size=4, unique=True))
+    dexes = []
+    for source in ("classes.dex", "classes2.dex"):  # drawn from one pool, so texts overlap
+        builder = DexBuilder()
+        for cls in data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True)):
+            methods = st.tuples(st.sampled_from(["void", "int[]", *names]), st.sampled_from(["go", "Run", *names]),
+                                st.lists(st.sampled_from(["long", *names]), max_size=2))
+            builder.add_class(cls, data.draw(st.lists(methods, max_size=3)))
+        for name in data.draw(st.lists(st.sampled_from(names), max_size=2)):
+            builder.add_string(f"https://a{name}.example/p")
+        dexes.append((source, builder.build()))
+    symbols = [parse_dex(blob) for _, blob in dexes]
+    wl = _some_whitelist(data, symbols[0])
+    with tempfile.TemporaryDirectory() as tmp:
+        with open_apk(build_apk(Path(tmp) / "two.apk", dexes)) as archive:
+            extracted = extract_candidates(archive, "two", (".tflite",), wl)
+    assert extracted.candidates == _merged_reference(
+        _reference_candidates(entry, source, wl) for entry, (source, _) in zip(symbols, dexes)
+    )
+    # Every key the pipeline looks up is KbKey.make's, here and after a second whitelist
+    # pass that drops rows around the API ones.
+    second = _some_whitelist(data, symbols[1]) or Whitelist(prefixes=frozenset({"a"}))
+    for cand_set in (extracted, apply_whitelist(extracted, second)):
+        looked_up = []
+        kb = KnowledgeBase()
+        kb.lookup = lambda key: looked_up.append(key) or KbRecord(key, VERDICT_NON_AI)
+        run_pipeline(cand_set, PipelineConfig(), kb, make_gateway())
+        assert looked_up == [KbKey.make(c.kind, c.text) for c in cand_set.candidates]
+        assert {type(key) for key in looked_up} <= {KbKey}

@@ -1,10 +1,12 @@
+import functools
 import struct
 import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
-from aidiscover.candidates import ApiSignature
+from aidiscover.apk import open_apk
+from aidiscover.candidates import ApiSignature, CandidateKind, extract_candidates
 from aidiscover.dex import (
     BadDexMagic,
     DexError,
@@ -15,6 +17,7 @@ from aidiscover.dex import (
 )
 
 from conftest import OPENAI_BASE_URL, golden_dex1
+import helpers
 from helpers import DexBuilder
 
 
@@ -139,3 +142,36 @@ def test_mutated_dex_raises_only_dex_errors(fields, flips):
     except DexError:
         return
     assert isinstance(symbols, DexSymbols)
+
+
+def _deep_array_dex(depth: int, methods: int) -> bytes:
+    builder = DexBuilder()
+    builder.add_class("com.acme.Deep", [("void", f"take{i}", ["int" + "[]" * depth]) for i in range(methods)])
+    return builder.build()
+
+
+@pytest.mark.parametrize("depth", [255, 256])
+def test_a_type_may_have_at_most_255_array_dimensions(depth):
+    blob = _deep_array_dex(depth, 1)
+    if depth > 255:
+        with pytest.raises(DexError, match="more than 255 array dimensions"):
+            parse_dex(blob)
+        return
+    (method,) = parse_dex(blob).methods
+    assert ApiSignature.render(method) == f"<com.acme.Deep: void take0(int{'[]' * depth})>"
+
+
+def test_a_dex_of_deep_array_parameters_is_skipped_before_any_text_is_built(tmp_path, monkeypatch):
+    # The builder's descriptor of a 20,000-deep array is quadratic to make; make each one once.
+    monkeypatch.setattr(helpers, "type_descriptor", functools.lru_cache(maxsize=None)(helpers.type_descriptor))
+    # 2,000 methods, each taking one 20,000-deep int array: 47 KB of DEX that would
+    # otherwise render 80 MB of API text.
+    blob = _deep_array_dex(20_000, 2_000)
+    assert len(blob) < 64 * 1024
+    with open_apk(helpers.build_apk(tmp_path / "deep.apk", [("classes.dex", blob)])) as archive:
+        cand_set = extract_candidates(archive, "deep")
+    (warning,) = cand_set.warnings
+    assert warning.startswith("classes.dex: dex parse failed (type_id ") and warning.endswith(
+        " has more than 255 array dimensions)"
+    )
+    assert not [c for c in cand_set.candidates if c.kind == CandidateKind.API]

@@ -25,7 +25,7 @@ from aidiscover.pipeline import (
 )
 
 from aidiscover.prompts import load_templates
-from aidiscover.report import analyze_app
+from aidiscover.report import _verdict_table, analyze_app
 from aidiscover.taxonomy import classify_components
 from aidiscover.whitelist import load_whitelist
 
@@ -400,6 +400,44 @@ class TestWriteBack:
         assert not second.degraded
         assert sorted(recording.sent) == [(task, text) for task in (TaskId.ANALYZE, TaskId.DETECT) for text in positives]
         assert [v.is_ai for v in second.verdicts] == [False] * 12 + [True, True]
+
+
+class TestLabeledAiHits:
+    """An AI KB hit whose record carries both labels stays that record, as a NonAI hit does."""
+
+    def test_its_labels_are_reported_as_label_of_gives_them_and_it_is_never_written(self, tmp_path, mock_gateway):
+        path = tmp_path / "kb.jsonl"
+        kb = kb_sync(path)
+        kb.insert(KbRecord(key=KbKey.make(CandidateKind.PACKAGE, "com.google.mlkit.vision"), verdict=VERDICT_AI,
+                           analysis="a", domain="cv", task="  object   detection"))
+        kb.insert(KbRecord(key=KbKey.make(CandidateKind.PACKAGE, "com.plain.io"), verdict=VERDICT_NON_AI))
+        texts = ["com.google.mlkit.vision", "com.plain.io", "org.tensorflow.lite"]
+        result = run_pipeline(cand_set(texts), PipelineConfig(), kb, mock_gateway)
+        assert result.objects[:2] == [None, None] and result.ai_hits == [0]
+        assert result.ai_hit_labels == {("cv", "  object   detection"): 1}
+        classify_components(result.ai_objects(), mock_gateway)
+        table = _verdict_table(result)
+        assert (table.domain[0], table.task[0]) == ("ComputerVision", "Object Detection")
+        assert table.provenance[0] == PROVENANCE_KB
+        fresh = result.objects[2]
+        assert fresh.is_ai and (table.domain[2], table.task[2]) == (fresh.domain, fresh.task) != (None, None)
+        write_back(result, kb, mock_gateway.model_id)
+        kb.close()
+        # Only the fresh verdict is written: the labeled hit, whose labels are not canonical, is not.
+        assert [json.loads(line)["text"] for line in path.read_text().splitlines()] == [
+            "com.google.mlkit.vision", "com.plain.io", "org.tensorflow.lite",
+        ]
+
+    def test_an_ai_hit_without_both_labels_is_a_verdict_that_gets_them(self, mock_gateway):
+        kb = KnowledgeBase()
+        kb.insert(KbRecord(key=KbKey.make(CandidateKind.PACKAGE, "com.google.mlkit.vision"), verdict=VERDICT_AI,
+                           analysis="a", domain="ComputerVision"))
+        result = run_pipeline(cand_set(["com.google.mlkit.vision"]), PipelineConfig(), kb, mock_gateway)
+        (verdict,) = result.ai_objects()
+        assert result.ai_hits == [] and verdict.provenance == PROVENANCE_KB and verdict.task is None
+        classify_components([verdict], mock_gateway)
+        write_back(result, kb, mock_gateway.model_id)
+        assert kb.lookup(verdict.kb_key()).task == "Object Detection"
 
 
 class TestIsAiApp:

@@ -1,18 +1,25 @@
 import gc
+import hashlib
 import json
 import math
 import random
 import tempfile
 import tracemalloc
+from collections import Counter
 from enum import Enum, IntEnum
 
 from hypothesis import given, strategies as st
 
 from aidiscover import report as report_module
-from aidiscover.candidates import Candidate, CandidateKind
-from aidiscover.kb import VERDICT_NON_AI, KbKey, KbRecord, KnowledgeBase, SummaryCache
-from aidiscover.pipeline import PROVENANCE_FRESH, PROVENANCE_KB, ComponentVerdict, PipelineConfig, PipelineResult
-from aidiscover.report import VerdictTable, _verdict_table, analyze_app, read_report, render_json, write_report
+from aidiscover.candidates import Candidate, CandidateKind, CandidateSet
+from aidiscover.kb import VERDICT_AI, VERDICT_NON_AI, KbKey, KbRecord, KnowledgeBase, SummaryCache
+from aidiscover.pipeline import (
+    PROVENANCE_FRESH, PROVENANCE_KB, ComponentVerdict, PipelineConfig, PipelineResult, run_pipeline,
+)
+from aidiscover.report import (
+    VerdictTable, _summary_digest, _verdict_table, analyze_app, read_report, render_json, summarize_with_cache,
+    write_report,
+)
 from aidiscover.whitelist import load_whitelist
 
 from conftest import make_gateway
@@ -292,3 +299,97 @@ def test_a_verdict_table_of_many_rows_makes_no_garbage_for_the_collector():
     assert gc.get_stats()[0]["collections"] == before
     assert len(table) == n and table.analysis[:2] == ["fresh", "Analysis 1"]
     assert table.provenance[:2] == [PROVENANCE_FRESH, PROVENANCE_KB]
+
+
+def _labeled_hits_run():
+    """A run where AI KB hits with both labels, kept as records, sit around a fresh AI
+    verdict and a fresh NonAI one, in candidate order."""
+    kb = KnowledgeBase()
+    api = "<org.tensorflow.lite.Interpreter: void run()>"
+    for kind, text in [(CandidateKind.PACKAGE, "com.acme.speech"), (CandidateKind.API, api)]:
+        kb.insert(KbRecord(KbKey.make(kind, text), VERDICT_AI, f"analysis of {text}", "asp", "speech recognition"))
+    candidates = [
+        Candidate(CandidateKind.PACKAGE, "com.acme.speech", "classes.dex", 2),
+        Candidate(CandidateKind.PACKAGE, "com.google.mlkit.vision", "classes.dex", 1),
+        Candidate(CandidateKind.PACKAGE, "com.plain.util", "classes.dex", 1),
+        Candidate(CandidateKind.API, api, "classes2.dex", 3),
+    ]
+    run = run_pipeline(CandidateSet("app", candidates), PipelineConfig(), kb, make_gateway())
+    assert run.ai_hits == [0, 3] and [v.is_ai for v in run.objects[1:3]] == [True, False]
+    return run
+
+
+def test_the_summary_digest_and_kind_counts_of_kb_hit_records_equal_the_verdict_form():
+    run = _labeled_hits_run()
+    verdict_form = PipelineResult(list(run.verdicts))
+    assert verdict_form.ai_hits == []
+    ai = [v for v in run.verdicts if v.is_ai]
+    payload = {
+        "app_id": "app",
+        "audience": "user",
+        "items": sorted((v.candidate.kind, v.candidate.text, v.analysis or "", v.candidate.occurrences) for v in ai),
+    }
+    reference = hashlib.sha256(json.dumps(payload, sort_keys=True, ensure_ascii=False).encode("utf-8")).hexdigest()
+    assert _summary_digest("app", run, "user") == _summary_digest("app", verdict_form, "user") == reference
+    cache = SummaryCache(None)
+    cache.put(reference, {"summary": "s", "capabilities": ["c"]})
+    counts = [summarize_with_cache("app", r, make_gateway(), cache, "user")[0].kind_counts for r in (run, verdict_form)]
+    expected = dict(Counter(v.candidate.kind for v in ai))
+    assert counts == [expected] * 2 and expected == {CandidateKind.PACKAGE: 2, CandidateKind.API: 1}
+
+
+def test_a_summary_cache_miss_hands_summarize_app_the_ai_verdicts_in_candidate_order(monkeypatch):
+    run = _labeled_hits_run()
+    summarize_app = report_module.summarize_app
+    handed = []
+    monkeypatch.setattr(
+        report_module, "summarize_app",
+        lambda app_id, verdicts, gateway: handed.append(verdicts) or summarize_app(app_id, verdicts, gateway),
+    )
+    service, digest = summarize_with_cache("app", run, make_gateway(), SummaryCache(None), "user")
+    (verdicts,) = handed
+    assert [(v.candidate, v.analysis, v.provenance) for v in verdicts] == [
+        (v.candidate, v.analysis, v.provenance) for v in run.verdicts if v.is_ai
+    ]
+    assert [v.provenance for v in verdicts] == [PROVENANCE_KB, PROVENANCE_FRESH, PROVENANCE_KB]
+    assert digest == _summary_digest("app", run, "user") and not service.degraded
+
+
+def test_labeled_ai_kb_hits_make_no_garbage_for_the_collector_on_the_way_to_the_verdict_table():
+    # 5,000 AI KB hits that carry both labels: the pipeline keeps each as its record and the
+    # table reads their labels through one label_of, so neither holds a tracked object per row.
+    n = 5000
+    candidates = [Candidate(CandidateKind.API, f"<a.B{i}: void m()>", "classes.dex", 1) for i in range(n)]
+    cand_set = CandidateSet("t", candidates)
+    kb = KnowledgeBase()
+    for c in candidates:
+        key = KbKey.make(c.kind, c.text)
+        kb.records[key] = KbRecord(key, VERDICT_AI, f"Analysis {c.text}", "cv", "object detection", "mock")
+    gateway = make_gateway()
+    _verdict_table(run_pipeline(cand_set, PipelineConfig(), kb, gateway))  # a first call's one-off allocations
+    thresholds = gc.get_threshold()
+    gc.collect()
+    before = gc.get_stats()[0]["collections"]
+    gc.set_threshold(100)
+    try:
+        run = run_pipeline(cand_set, PipelineConfig(), kb, gateway)
+        table = _verdict_table(run)
+    finally:
+        gc.set_threshold(*thresholds)
+    assert gc.get_stats()[0]["collections"] == before
+    assert len(run.ai_hits) == n and set(table.domain) == {"ComputerVision"} and set(table.task) == {"Object Detection"}
+    assert all(table.is_ai) and set(table.provenance) == {PROVENANCE_KB}
+
+
+def test_a_nonai_record_with_labels_reports_them_as_they_are_beside_a_labeled_ai_hit():
+    # Replay rejects a NonAI record with labels, but a snapshot edited on disk can hold one.
+    kb = KnowledgeBase()
+    candidates = [Candidate(CandidateKind.PACKAGE, f"com.acme.p{i}", "classes.dex", 1) for i in range(2)]
+    for cand, verdict in zip(candidates, (VERDICT_AI, VERDICT_NON_AI)):
+        key = KbKey.make(cand.kind, cand.text)
+        kb.records[key] = KbRecord(key, verdict, "an analysis", "odd domain", "odd task", "mock")
+    run = run_pipeline(CandidateSet("app", candidates), PipelineConfig(), kb, make_gateway())
+    assert run.objects == [None, None] and run.ai_hits == [0]
+    table = _verdict_table(run)
+    assert (table.domain[1], table.task[1]) == ("odd domain", "odd task")
+    assert table.domain[0] != "odd domain" and table.task[0] == "Odd Task"
